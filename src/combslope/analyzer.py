@@ -20,9 +20,8 @@ single invented bound.
 
 from __future__ import annotations
 
-import dataclasses
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import comb as comb_mod
 from .comb import (
@@ -197,6 +196,10 @@ def tail_extrema(profile: OmegaProfile, window: TailWindow = TailWindow()) -> Li
 # ---------------------------------------------------------------------------
 # width calibration
 
+_CALIBRATION_WALKERS = 20_000  # walker cap per calibration estimate
+_CALIBRATION_FLOOR = 8.0       # smallest width, in strip heights
+_CALIBRATION_DOUBLINGS = 14
+
 
 def _calibration_dims(plan: SequencePlan, n: int) -> list[tuple[float, float]]:
     r, rho = plan.upper_heights, plan.lower_depths
@@ -212,14 +215,7 @@ def _calibration_dims(plan: SequencePlan, n: int) -> list[tuple[float, float]]:
     return [(r[k - 1], rho[k - 2]), (r[k - 1], rho[k - 1])]
 
 
-def calibrate_widths(
-    plan: SequencePlan,
-    params: WosParams,
-    min_width_factor: float = 8.0,
-    growth: float = 2.0,
-    max_doublings: int = 14,
-    walkers: int | None = None,
-) -> SequencePlan:
+def calibrate_widths(plan: SequencePlan, params: WosParams) -> SequencePlan:
     """Find a width schedule meeting the per-block 1/n tolerance targets.
 
     One width is found per block, ``plan.max_blocks`` in all: ``2 n_pairs``
@@ -227,15 +223,16 @@ def calibrate_widths(
     block index the local strip proportions are embedded in an
     isolated two-tooth pseudo-strip and the width is doubled until the
     measured deviation from the exact strip value falls inside 1/n minus
-    three Monte Carlo sigmas.  The search floor is ``min_width_factor``
-    times the strip height, which makes the vacuous small-n tolerances
-    return the floor immediately; a running maximum keeps the schedule
-    strictly increasing.  Exhausting the doubling budget raises
-    :class:`CalibrationError` naming the failing block.
+    three Monte Carlo sigmas.  Each estimate runs ``params`` with at most
+    20,000 walkers.  The search floor is 8 times the strip height, which
+    makes the vacuous small-n tolerances return the floor immediately; a
+    running maximum keeps the schedule strictly increasing.  Exhausting
+    the budget of 14 doublings raises :class:`CalibrationError` naming the
+    failing block.
     """
     if plan.block_widths is not None:
         raise PlanError("plan already has widths assigned")
-    n_walkers = walkers if walkers is not None else min(params.walkers, 20_000)
+    n_walkers = min(params.walkers, _CALIBRATION_WALKERS)
     widths: list[float] = []
     prev = 0.0
     for n in range(1, plan.max_blocks + 1):
@@ -244,25 +241,18 @@ def calibrate_widths(
         for cfg_i, (up, down) in enumerate(_calibration_dims(plan, n)):
             scale = up + down
             target = down / scale
-            w = min_width_factor * scale
+            w = _CALIBRATION_FLOOR * scale
             noise_cap = 3.0 * 0.5 / math.sqrt(n_walkers)
             if tol - noise_cap >= 0.45:
                 best = max(best, w)  # tolerance is vacuous at this index
                 continue
-            sub = WosParams(
-                walkers=n_walkers,
-                seed=derive_seed(params.seed, 7_000_000 + 100 * n + cfg_i),
-                epsilon_shell=params.epsilon_shell,
-                max_steps=params.max_steps,
-                radius_cap=params.radius_cap,
-                rescale=params.rescale,
-                max_lost_fraction=1.0,
-            )
-            for _ in range(max_doublings + 1):
-                est = estimate_upper_measure(pseudo_strip(up, down, w), 0j, 0.0, sub)
+            seed = derive_seed(params.seed, 7_000_000 + 100 * n + cfg_i)
+            sub = replace(params, walkers=n_walkers, seed=seed, max_lost_fraction=1.0)
+            for _ in range(_CALIBRATION_DOUBLINGS + 1):
+                est = estimate_upper_measure(pseudo_strip(up, down, w), 0j, sub)
                 if abs(est.mean - target) < tol - 3.0 * est.stderr:
                     break
-                w *= growth
+                w *= 2.0
             else:
                 raise CalibrationError(
                     f"block {n}: width search exhausted at tolerance 1/{n} "
@@ -328,49 +318,46 @@ class ConstructionReport:
         return self.overall == "fail"
 
 
-def _anchor_status(est: MeasureEstimate, target: float, base_tol: float) -> tuple[float, str]:
+_BASE_TOLERANCE = 0.05  # desk-scale anchor tolerance; shrink it only with more walkers
+_BETWEEN_PER_BLOCK = 3
+
+
+def _anchor_status(est: MeasureEstimate, target: float) -> tuple[float, str]:
     # a check may only pass or fail when the Monte Carlo band can resolve
     # the base tolerance; otherwise it is inconclusive either way
-    tol = max(base_tol, 3.0 * est.smoothed_stderr)
+    tol = max(_BASE_TOLERANCE, 3.0 * est.smoothed_stderr)
     if not est.valid:
         return tol, "fail"
-    if 3.0 * est.smoothed_stderr > base_tol:
+    if 3.0 * est.smoothed_stderr > _BASE_TOLERANCE:
         return tol, "inconclusive"
     return tol, "pass" if abs(est.mean - target) <= tol else "fail"
 
 
-def verify_construction(
-    plan: SequencePlan,
-    params: WosParams,
-    base_tolerance: float = 0.05,
-    between_per_block: int = 3,
-    with_surgery: bool = True,
-    tail_window: TailWindow = TailWindow(),
-) -> ConstructionReport:
+def verify_construction(plan: SequencePlan, params: WosParams) -> ConstructionReport:
     """Measure a planned comb and check it against its own targets.
 
     Anchor estimates are compared to the exact local strip ratios at
-    tolerance ``max(base_tolerance, 3 sigma)`` (a desk-scale policy; shrink
-    it only with larger walker budgets).  In-between samples must stay in
-    the sandwich band ``[liminf - 1/n - 3 sigma, limsup + 1/n + 3 sigma]``
-    for their block index ``n``.  On forward combs each odd block is also
-    bracketed by the sealed (smaller) and tooth-dropped (larger) surgery
-    domains.  The report carries every seed and parameter needed to
-    reproduce it.
+    tolerance ``max(0.05, 3 sigma)``.  Three in-between samples per block
+    must stay in the sandwich band
+    ``[liminf - 1/n - 3 sigma, limsup + 1/n + 3 sigma]`` for their block
+    index ``n``.  On forward combs each odd block is also bracketed by the
+    sealed (smaller) and tooth-dropped (larger) surgery domains.  The
+    limits come from :func:`tail_extrema` over the default
+    :class:`TailWindow`.  The report carries every seed and parameter
+    needed to reproduce it.
     """
     if plan.block_widths is None:
         raise PlanError("plan needs widths (explicit or calibrated) before verification")
     domain = build_comb(plan)
     xs = midpoints(plan)
     usable = usable_anchor_indices(plan)
-    _dc = dataclasses
 
     anchor_rows: list[AnchorRow] = []
     for n in usable:
-        sub = _dc.replace(params, seed=derive_seed(params.seed, n))
-        est = estimate_upper_measure(domain, complex(xs[n - 1], 0.0), 0.0, sub)
+        sub = replace(params, seed=derive_seed(params.seed, n))
+        est = estimate_upper_measure(domain, complex(xs[n - 1], 0.0), sub)
         target = anchor_target(plan, n)
-        tol, status = _anchor_status(est, target, base_tolerance)
+        tol, status = _anchor_status(est, target)
         anchor_rows.append(AnchorRow(n, xs[n - 1], target, est, tol, status))
 
     between_rows: list[BetweenRow] = []
@@ -381,35 +368,33 @@ def verify_construction(
             continue
         x0, x1 = xs[left - 1], xs[right - 1]
         block_tol = 1.0 / left
-        do_surgery = (
-            with_surgery and plan.direction == comb_mod.FORWARD and left % 2 == 1
-        )
+        do_surgery = plan.direction == comb_mod.FORWARD and left % 2 == 1
         k = (left + 1) // 2
         sealed = surgery(domain, SEAL_GAP, k) if do_surgery else None
         dropped = surgery(domain, DROP_TOOTH, k) if do_surgery else None
-        for i in range(between_per_block):
-            frac = (i + 1) / (between_per_block + 1)
+        for i in range(_BETWEEN_PER_BLOCK):
+            frac = (i + 1) / (_BETWEEN_PER_BLOCK + 1)
             t = x0 + frac * (x1 - x0)
-            sub = _dc.replace(params, seed=derive_seed(params.seed, 1_000_000 + 1000 * left + i))
-            est = estimate_upper_measure(domain, complex(t, 0.0), 0.0, sub)
+            sub = replace(params, seed=derive_seed(params.seed, 1_000_000 + 1000 * left + i))
+            est = estimate_upper_measure(domain, complex(t, 0.0), sub)
             lo_bound = lo_t - block_tol - 3.0 * est.stderr
             hi_bound = hi_t + block_tol + 3.0 * est.stderr
             ok = est.valid and lo_bound <= est.mean <= hi_bound
             status = "pass" if ok else (
-                "inconclusive" if 3.0 * est.smoothed_stderr > base_tolerance else "fail"
+                "inconclusive" if 3.0 * est.smoothed_stderr > _BASE_TOLERANCE else "fail"
             )
             between_rows.append(BetweenRow(left, t, lo_bound, hi_bound, est, status))
             if do_surgery:
-                sub_s = _dc.replace(params, seed=derive_seed(params.seed, 2_000_000 + 1000 * left + i))
-                sub_d = _dc.replace(params, seed=derive_seed(params.seed, 3_000_000 + 1000 * left + i))
-                est_s = estimate_upper_measure(sealed, complex(t, 0.0), 0.0, sub_s)
-                est_d = estimate_upper_measure(dropped, complex(t, 0.0), 0.0, sub_d)
+                sub_s = replace(params, seed=derive_seed(params.seed, 2_000_000 + 1000 * left + i))
+                sub_d = replace(params, seed=derive_seed(params.seed, 3_000_000 + 1000 * left + i))
+                est_s = estimate_upper_measure(sealed, complex(t, 0.0), sub_s)
+                est_d = estimate_upper_measure(dropped, complex(t, 0.0), sub_d)
                 band_lo = 3.0 * math.hypot(est.smoothed_stderr, est_d.smoothed_stderr)
                 band_hi = 3.0 * math.hypot(est.smoothed_stderr, est_s.smoothed_stderr)
                 ok = (est_d.mean - band_lo <= est.mean) and (est.mean <= est_s.mean + band_hi)
                 wide = max(est.smoothed_stderr, est_s.smoothed_stderr, est_d.smoothed_stderr)
                 status = "pass" if ok else (
-                    "inconclusive" if 3.0 * wide > base_tolerance else "fail"
+                    "inconclusive" if 3.0 * wide > _BASE_TOLERANCE else "fail"
                 )
                 surgery_rows.append(
                     SurgeryRow(
@@ -424,7 +409,7 @@ def verify_construction(
         if row.estimate.valid
     ]
     profile = OmegaProfile(plan.direction, tuple(profile_pts))
-    limits = tail_extrema(profile, tail_window)
+    limits = tail_extrema(profile)
     liminf = min(limits.liminf_hat, limits.limsup_hat)
     interval = slope_interval_from_limits(limits.limsup_hat, liminf)
 

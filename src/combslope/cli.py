@@ -27,6 +27,7 @@ from .analyzer import (
     verify_construction,
 )
 from .comb import (
+    BACKWARD,
     assign_widths,
     build_comb,
     domain_to_dict,
@@ -118,7 +119,8 @@ def _csv_meta(args: argparse.Namespace, schema: str, seed: int | None = None) ->
 
 
 def _apply_config(args: argparse.Namespace) -> argparse.Namespace:
-    """Fill unset (None) options from a JSON config file, flags win."""
+    """Fill options left unset (None) and switches left off (False) from a
+    JSON config file; flags win."""
     if getattr(args, "config", None) is None:
         return args
     cfg = json.loads(Path(args.config).read_text())
@@ -126,28 +128,36 @@ def _apply_config(args: argparse.Namespace) -> argparse.Namespace:
         raise ValueError("config file must hold a JSON object")
     for key, val in cfg.items():
         attr = key.replace("-", "_")
-        if hasattr(args, attr) and getattr(args, attr) is None:
+        # identity, not "in (None, False)", since an explicit 0 == False
+        if hasattr(args, attr) and (getattr(args, attr) is None or getattr(args, attr) is False):
             setattr(args, attr, val)
     return args
 
 
 def _wos_params(args: argparse.Namespace) -> WosParams:
-    return WosParams(
-        walkers=int(args.walkers if args.walkers is not None else 100_000),
-        seed=int(args.seed if args.seed is not None else 0),
-        epsilon_shell=float(args.eps if args.eps is not None else 1e-6),
-        max_steps=int(args.max_steps if args.max_steps is not None else 100_000),
-        radius_cap=None if args.no_radius_cap else 1e3,
-        rescale=not args.no_rescale,
-    )
+    """``WosParams()`` with the flags the user set on top."""
+    flags = (("walkers", "walkers", int), ("seed", "seed", int),
+             ("eps", "epsilon_shell", float), ("max_steps", "max_steps", int))
+    given = {field: kind(getattr(args, flag)) for flag, field, kind in flags
+             if getattr(args, flag) is not None}
+    if args.no_radius_cap:
+        given["radius_cap"] = None
+    if args.no_rescale:
+        given["rescale"] = False
+    return WosParams(**given)
 
 
 def _add_wos_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--walkers", type=int, default=None, help="walkers per point (default 100000)")
-    p.add_argument("--seed", type=int, default=None, help="base RNG seed (default 0)")
-    p.add_argument("--eps", type=float, default=None, help="absorption shell in local-scale units")
-    p.add_argument("--max-steps", type=int, default=None, help="step budget per walker")
-    p.add_argument("--no-radius-cap", action="store_true", help="disable the jump radius cap")
+    p.add_argument("--walkers", type=int, default=None,
+                   help=f"walkers per point (default {WosParams.walkers})")
+    p.add_argument("--seed", type=int, default=None,
+                   help=f"base RNG seed (default {WosParams.seed})")
+    p.add_argument("--eps", type=float, default=None,
+                   help=f"absorption shell, local-scale units (default {WosParams.epsilon_shell:g})")
+    p.add_argument("--max-steps", type=int, default=None,
+                   help=f"step budget per walker (default {WosParams.max_steps})")
+    p.add_argument("--no-radius-cap", action="store_true",
+                   help=f"disable the jump radius cap of {WosParams.radius_cap:g}")
     p.add_argument("--no-rescale", action="store_true", help="work in absolute units")
     p.add_argument("--config", default=None, help="JSON config file; flags win over it")
 
@@ -195,6 +205,8 @@ def _plan_summary(plan) -> str:
         lines.append(
             f"{k + 1:4d}   {plan.upper_heights[k]:<14.6g} {plan.lower_depths[k]:<14.6g}"
         )
+    if plan.direction == BACKWARD:  # its last tooth, 2n + 1, is one more upper height
+        lines.append(f"{plan.n_pairs + 1:4d}   {plan.upper_heights[plan.n_pairs]:<14.6g} -")
     if plan.block_widths:
         u = plan.cum_widths
         xs = midpoints(plan)
@@ -209,13 +221,14 @@ def _plan_summary(plan) -> str:
 
 def cmd_plan(args: argparse.Namespace) -> int:
     plan = _build_plan_from_flags(args)
+    params = _wos_params(args)
     if args.widths:
         widths = [float(w) for w in str(args.widths).split(",") if w.strip()]
         plan = assign_widths(plan, widths, mode="explicit")
     elif args.calibrate:
-        plan = calibrate_widths(plan, _wos_params(args))
+        plan = calibrate_widths(plan, params)
     doc = plan_to_dict(plan)
-    doc["meta"] = _meta(args, "combslope/plan-v1", seed=int(args.seed or 0))
+    doc["meta"] = _meta(args, "combslope/plan-v1", seed=params.seed)
     _dump_json(doc, args.output)
     print(_plan_summary(plan))
     print(f"plan written to {args.output}")
@@ -238,7 +251,7 @@ def cmd_measure(args: argparse.Namespace) -> int:
     plan = _load_plan(args.plan)
     domain = build_comb(plan)
     params = _wos_params(args)
-    est = estimate_upper_measure(domain, complex(float(args.at), 0.0), 0.0, params)
+    est = estimate_upper_measure(domain, complex(float(args.at), 0.0), params)
     print(
         f"measure at t = {args.at}: {est.mean:.6f} +- {est.stderr:.6f} "
         f"(walkers {est.walkers_used}, lost {est.lost}, valid {est.valid})"
@@ -259,7 +272,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
     else:
         xs = midpoints(plan)
         ts = [xs[n - 1] for n in usable_anchor_indices(plan)]
-    entries = estimate_profile(domain, ts, 0.0, params)
+    entries = estimate_profile(domain, ts, params)
     Path(args.output).write_text(
         _csv_meta(args, "combslope/profile-csv-v1", params.seed)
         + profile_to_csv(entries, params)
@@ -308,16 +321,14 @@ def cmd_model(args: argparse.Namespace) -> int:
     if args.model == "strip":
         d = float(args.d if args.d is not None else 1.0)
         y0 = float(args.y0 if args.y0 is not None else 0.0)
-        if not abs(y0) < d:
-            raise DomainError(f"need |y0| < d, got y0 = {y0}, d = {d}")
         model = StripModel(d)
-        z = model.koenigs_inverse(complex(0.0, y0))
     elif args.model == "halfplane":
-        model = HalfPlaneModel()
         y0 = float(args.y0 if args.y0 is not None else 1.0)
-        z = model.koenigs_inverse(complex(0.0, abs(y0) if y0 else 1.0))
+        model = HalfPlaneModel()
     else:
         raise DomainError(f"unknown model {args.model!r}")
+    # raises DomainError unless h(z) = i y0 lies in the model domain
+    z = model.koenigs_inverse(complex(0.0, y0))
     ts = [t_max * (i + 1) / samples for i in range(samples)]
     traj = trajectory(model, z, ts)
     if args.output:
@@ -404,7 +415,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("model", help="closed-form trajectory runs (strip, halfplane)")
     p.add_argument("model", choices=["strip", "halfplane"])
     p.add_argument("--d", type=float, default=None, help="strip half-width (default 1)")
-    p.add_argument("--y0", type=float, default=None, help="height of h(z) (default 0)")
+    p.add_argument("--y0", type=float, default=None,
+                   help="height of h(z): strip |y0| < d (default 0), halfplane y0 > 0 (default 1)")
     p.add_argument("--tmax", type=float, default=None, help="time horizon (default 100)")
     p.add_argument("--samples", type=int, default=None, help="sample count (default 400)")
     p.add_argument("-o", "--output", default=None, help="trajectory CSV path")
@@ -413,12 +425,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _merge_angle_flags(argv: list[str]) -> list[str]:
-    # argparse mistakes "-0.25pi" for an option; fold angle values into --flag=value
+_SIGNED_FLAGS = ("--theta1", "--theta2", "--at", "--t")
+
+
+def _merge_signed_flags(argv: list[str]) -> list[str]:
+    # argparse mistakes "-0.25pi", "-2.5e1" or "-20,-30" for an option; fold
+    # the values of flags that take signed numbers into --flag=value
     merged, i = [], 0
     while i < len(argv):
         tok = argv[i]
-        if tok in ("--theta1", "--theta2") and i + 1 < len(argv):
+        if tok in _SIGNED_FLAGS and i + 1 < len(argv):
             merged.append(f"{tok}={argv[i + 1]}")
             i += 2
         else:
@@ -432,7 +448,7 @@ def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     try:
-        args = parser.parse_args(_merge_angle_flags(list(argv)))
+        args = parser.parse_args(_merge_signed_flags(list(argv)))
     except SystemExit as exc:  # argparse uses 2 for usage errors
         return int(exc.code or 0)
     try:

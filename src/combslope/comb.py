@@ -16,16 +16,10 @@ import dataclasses
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import BuildError, DomainError, PlanError
-from .geometry import (
-    HalfLine,
-    HSegment,
-    RectWitness,
-    dist_to_halfline,
-    dist_to_hsegment,
-    nearest_point_on_halfline,
-    nearest_point_on_hsegment,
-)
+from .geometry import FeatureArrays, HalfLine, HSegment, RectWitness
 
 __all__ = [
     "CombDomain",
@@ -40,11 +34,9 @@ __all__ = [
     "assign_widths",
     "boundary_distance",
     "build_comb",
-    "classify_hit",
     "domain_from_dict",
     "domain_to_dict",
     "midpoints",
-    "nearest_boundary_point",
     "plan_backward",
     "plan_backward_special",
     "plan_forward",
@@ -482,38 +474,9 @@ def pseudo_strip(dist_up: float, dist_down: float, width: float) -> CombDomain:
 
 def boundary_distance(domain, p: complex) -> tuple[float, int]:
     """Distance from ``p`` to the domain boundary and the nearest feature index."""
-    best, best_i = math.inf, -1
-    for i, (geom, _label) in enumerate(domain.features()):
-        if isinstance(geom, HalfLine):
-            d = dist_to_halfline(p, geom)
-        else:
-            d = dist_to_hsegment(p, geom)
-        if d < best:
-            best, best_i = d, i
-    return best, best_i
-
-
-def nearest_boundary_point(domain, p: complex) -> tuple[complex, int]:
-    """The boundary point nearest to ``p`` and its feature index."""
-    _, i = boundary_distance(domain, p)
-    geom, _ = domain.features()[i]
-    if isinstance(geom, HalfLine):
-        return nearest_point_on_halfline(p, geom), i
-    return nearest_point_on_hsegment(p, geom), i
-
-
-def classify_hit(domain, hit: complex, ref_im: float = 0.0) -> str:
-    """Classify a boundary hit as above or below the reference height.
-
-    A hit exactly at the reference height is an error by design: comb teeth
-    sit at strictly nonzero heights, so such a hit indicates an upstream bug
-    rather than a coin-flip case.
-    """
-    if hit.imag > ref_im:
-        return "upper"
-    if hit.imag < ref_im:
-        return "lower"
-    raise DomainError(f"hit at exactly the reference height {ref_im} cannot be classified")
+    d = FeatureArrays(domain.features()).distances(np.array([p.real]), np.array([p.imag]))[:, 0]
+    i = int(d.argmin())
+    return float(d[i]), i
 
 
 def usable_anchor_indices(plan: SequencePlan) -> tuple[int, ...]:

@@ -2,9 +2,11 @@
 
 Leftward half-line "teeth", rectangle witnesses, oriented boundary arcs of
 the unit circle, harmonic-measure level arcs, and the slope angle of a disk
-point relative to a boundary point.  All types are immutable values and all
-operations are pure functions, so everything here is safe to share across
-threads and processes.
+point relative to a boundary point.  :class:`FeatureArrays` is the one
+distance kernel: the comb's boundary distance and the walk-on-spheres
+estimator both measure through it.  All operations are pure functions and
+no object is modified after construction, so everything here is safe to
+share across threads and processes.
 
 Orientation convention: a :class:`BoundaryArc` is always traversed
 CLOCKWISE from ``start`` to ``end``.  Sketch, with the arc drawn as the
@@ -32,22 +34,21 @@ import cmath
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DomainError
 
 __all__ = [
     "BoundaryArc",
     "DiskMobius",
+    "FeatureArrays",
     "HalfLine",
     "HSegment",
     "LevelArc",
     "RectWitness",
     "TangentRay",
-    "dist_to_halfline",
-    "dist_to_hsegment",
     "level_set_arc",
     "mobius_to_zero",
-    "nearest_point_on_halfline",
-    "nearest_point_on_hsegment",
     "require_finite",
     "slope_of",
     "tangent_ray",
@@ -82,22 +83,6 @@ class HalfLine:
         require_finite(self.anchor)
 
 
-def dist_to_halfline(p: complex, h: HalfLine) -> float:
-    """Euclidean distance from ``p`` to the closed ray; 0 iff ``p`` is on it."""
-    dx = p.real - h.anchor.real
-    dy = p.imag - h.anchor.imag
-    if dx <= 0.0:
-        return abs(dy)
-    return math.hypot(dx, dy)
-
-
-def nearest_point_on_halfline(p: complex, h: HalfLine) -> complex:
-    """The unique closest ray point to ``p`` (the anchor when ``p`` is to its right)."""
-    if p.real <= h.anchor.real:
-        return complex(p.real, h.anchor.imag)
-    return h.anchor
-
-
 @dataclass(frozen=True)
 class HSegment:
     """Horizontal segment from ``(x_lo, y)`` to ``(x_hi, y)``.
@@ -119,13 +104,46 @@ class HSegment:
             raise DomainError(f"segment needs x_lo < x_hi, got [{self.x_lo}, {self.x_hi}]")
 
 
-def dist_to_hsegment(p: complex, s: HSegment) -> float:
-    x = min(max(p.real, s.x_lo), s.x_hi)
-    return math.hypot(p.real - x, p.imag - s.y)
+class FeatureArrays:
+    """Labeled boundary features flattened to numpy arrays.
 
+    ``features`` holds ``(geometry, label)`` pairs, each geometry a
+    :class:`HalfLine` or an :class:`HSegment` and each label ``"upper"`` or
+    ``"lower"``; every half-line comes before any segment, so row ``i`` of
+    :meth:`distances` and ``is_upper[i]`` belong to feature ``i``.
+    Coordinates are stored as ``(z - origin) / scale``.
+    """
 
-def nearest_point_on_hsegment(p: complex, s: HSegment) -> complex:
-    return complex(min(max(p.real, s.x_lo), s.x_hi), s.y)
+    def __init__(self, features, origin: complex = 0j, scale: float = 1.0):
+        hx, hy, sx0, sx1, sy, upper = [], [], [], [], [], []
+        for geom, label in features:
+            if isinstance(geom, HalfLine) and not sy:
+                hx.append((geom.anchor.real - origin.real) / scale)
+                hy.append((geom.anchor.imag - origin.imag) / scale)
+            elif isinstance(geom, HSegment):
+                sx0.append((geom.x_lo - origin.real) / scale)
+                sx1.append((geom.x_hi - origin.real) / scale)
+                sy.append((geom.y - origin.imag) / scale)
+            else:
+                raise DomainError(f"expected half-lines, then segments; got {type(geom)!r}")
+            upper.append(label == "upper")
+        self.hx = np.asarray(hx)[:, None]
+        self.hy = np.asarray(hy)[:, None]
+        self.sx0 = np.asarray(sx0)[:, None]
+        self.sx1 = np.asarray(sx1)[:, None]
+        self.sy = np.asarray(sy)[:, None]
+        self.is_upper = np.asarray(upper, dtype=bool)
+
+    def distances(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Distance matrix to the closed features, one row per feature, one
+        column per point; 0 exactly on a feature."""
+        dxh = x[None, :] - self.hx
+        dh = np.where(dxh <= 0.0, np.abs(y[None, :] - self.hy), np.hypot(dxh, y[None, :] - self.hy))
+        if self.sy.size:
+            cx = np.clip(x[None, :], self.sx0, self.sx1)
+            ds = np.hypot(x[None, :] - cx, y[None, :] - self.sy)
+            return np.vstack([dh, ds])
+        return dh
 
 
 @dataclass(frozen=True)

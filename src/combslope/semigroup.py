@@ -21,51 +21,21 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 from .analyzer import SlopeInterval
-from .comb import CombDomain, SequencePlan
 from .errors import DomainError
 from .geometry import slope_of
 
 __all__ = [
-    "FixedPointClass",
     "HalfPlaneModel",
     "KoenigsModel",
-    "SemigroupClass",
     "StripModel",
     "Trajectory",
-    "classify_domain",
-    "classify_fixed_point",
     "slope_minus",
     "slope_plus",
     "trajectory",
     "trajectory_to_csv",
 ]
-
-
-class SemigroupClass(Enum):
-    HYPERBOLIC = "hyperbolic"
-    PARABOLIC_POSITIVE_STEP = "parabolic_positive_step"
-    PARABOLIC_ZERO_STEP = "parabolic_zero_step"
-
-
-class FixedPointClass(Enum):
-    ATTRACTIVE = "attractive"
-    REPULSIVE = "repulsive"
-    SUPER_REPULSIVE = "super_repulsive"
-
-
-def classify_fixed_point(angular_derivative: float) -> FixedPointClass:
-    """Taxonomy by angular derivative: (0, 1] attractive, (1, inf) repulsive,
-    infinite super-repulsive."""
-    if math.isinf(angular_derivative) and angular_derivative > 0:
-        return FixedPointClass.SUPER_REPULSIVE
-    if not angular_derivative > 0.0:
-        raise DomainError(f"angular derivative must be in (0, inf], got {angular_derivative}")
-    if angular_derivative <= 1.0:
-        return FixedPointClass.ATTRACTIVE
-    return FixedPointClass.REPULSIVE
 
 
 @dataclass(frozen=True)
@@ -160,26 +130,12 @@ class HalfPlaneModel:
 KoenigsModel = StripModel | HalfPlaneModel
 
 
-def classify_domain(obj) -> SemigroupClass:
-    """Classify by what horizontal region contains the planar domain."""
-    if isinstance(obj, StripModel):
-        return SemigroupClass.HYPERBOLIC
-    if isinstance(obj, HalfPlaneModel):
-        return SemigroupClass.PARABOLIC_POSITIVE_STEP
-    if isinstance(obj, (CombDomain, SequencePlan)):
-        # combs contain full vertical lines far to the right, so they fit in
-        # no horizontal half-plane
-        return SemigroupClass.PARABOLIC_ZERO_STEP
-    raise DomainError(f"cannot classify {type(obj).__name__}")
-
-
 @dataclass(frozen=True)
 class Trajectory:
     """Samples of the extended trajectory ``t -> h_inv(h(z0) + t)``."""
 
     model: KoenigsModel
     z0: complex
-    start_time: float
     times: tuple[float, ...]
     points: tuple[complex, ...]
     w_values: tuple[complex, ...]
@@ -190,9 +146,6 @@ class Trajectory:
         for a, b in zip(self.times, self.times[1:]):
             if not b > a:
                 raise DomainError("trajectory times must be strictly increasing")
-        for t in self.times:
-            if not t > self.start_time:
-                raise DomainError(f"sample time {t} not above the start time {self.start_time}")
 
 
 def trajectory(model: KoenigsModel, z: complex, t_values) -> Trajectory:
@@ -206,7 +159,7 @@ def trajectory(model: KoenigsModel, z: complex, t_values) -> Trajectory:
         times.append(float(t))
         points.append(model.koenigs_inverse(w))
         ws.append(w)
-    return Trajectory(model, z, -math.inf, tuple(times), tuple(points), tuple(ws))
+    return Trajectory(model, z, tuple(times), tuple(points), tuple(ws))
 
 
 def _tail_slice(n: int, fraction: float) -> int:

@@ -3,9 +3,9 @@
 Each walker repeatedly jumps to a uniformly random point of the largest
 boundary-free circle centered at its position (radius optionally capped,
 which stays unbiased) and absorbs once it comes within an epsilon shell of
-the boundary; the hit is classified by whether the nearest boundary point
-lies above or below the reference height.  The estimate is the fraction of
-absorbed walkers classified "upper"; walks that exhaust the step budget are
+the boundary; the hit is classified by the label ("upper" or "lower") of
+the nearest boundary feature.  The estimate is the fraction of absorbed
+walkers classified "upper"; walks that exhaust the step budget are
 counted as lost and excluded from the mean, with the lost fraction reported
 so callers can bound the induced bias (lost walks could have hit either
 class).
@@ -28,7 +28,7 @@ import numpy as np
 
 from .comb import boundary_distance
 from .errors import EstimationError
-from .geometry import HalfLine, HSegment
+from .geometry import FeatureArrays as _FeatureArrays
 
 __all__ = [
     "RNG_ALGORITHM",
@@ -148,46 +148,10 @@ class MeasureEstimate:
         return float(np.sqrt(p * (1.0 - p) / n))
 
 
-class _FeatureArrays:
-    """Boundary features flattened to numpy arrays in walker coordinates."""
-
-    def __init__(self, domain, origin: complex, scale: float, ref_im: float):
-        hx, hy, sx0, sx1, sy = [], [], [], [], []
-        upper_h, upper_s = [], []
-        for geom, _label in domain.features():
-            if isinstance(geom, HalfLine):
-                hx.append((geom.anchor.real - origin.real) / scale)
-                hy.append((geom.anchor.imag - origin.imag) / scale)
-                upper_h.append(geom.anchor.imag > ref_im)
-            elif isinstance(geom, HSegment):
-                sx0.append((geom.x_lo - origin.real) / scale)
-                sx1.append((geom.x_hi - origin.real) / scale)
-                sy.append((geom.y - origin.imag) / scale)
-                upper_s.append(geom.y > ref_im)
-            else:  # pragma: no cover - no other feature kinds exist
-                raise EstimationError(f"unsupported boundary feature {type(geom)!r}")
-        self.hx = np.asarray(hx)[:, None]
-        self.hy = np.asarray(hy)[:, None]
-        self.sx0 = np.asarray(sx0)[:, None]
-        self.sx1 = np.asarray(sx1)[:, None]
-        self.sy = np.asarray(sy)[:, None]
-        self.is_upper = np.asarray(upper_h + upper_s, dtype=bool)
-
-    def distances(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Distance matrix, one row per feature, one column per walker."""
-        dxh = x[None, :] - self.hx
-        dh = np.where(dxh <= 0.0, np.abs(y[None, :] - self.hy), np.hypot(dxh, y[None, :] - self.hy))
-        if self.sy.size:
-            cx = np.clip(x[None, :], self.sx0, self.sx1)
-            ds = np.hypot(x[None, :] - cx, y[None, :] - self.sy)
-            return np.vstack([dh, ds])
-        return dh
-
-
 def estimate_upper_measure(
-    domain, point: complex, ref_im: float = 0.0, params: WosParams = WosParams()
+    domain, point: complex, params: WosParams = WosParams()
 ) -> MeasureEstimate:
-    """Estimate the harmonic measure of the boundary part above ``ref_im``.
+    """Estimate the harmonic measure of the boundary features labeled "upper".
 
     The start point must be strictly interior with boundary distance above
     the epsilon shell; an estimate with every walker lost raises
@@ -204,7 +168,7 @@ def estimate_upper_measure(
             f"start point {point} has boundary distance {d0}, within the "
             f"epsilon shell {params.epsilon_shell} (scale {scale})"
         )
-    feats = _FeatureArrays(domain, origin=point, scale=scale, ref_im=ref_im)
+    feats = _FeatureArrays(domain.features(), origin=point, scale=scale)
     eps = params.epsilon_shell
     cap = params.radius_cap
     seed_mixed = _mix64(params.seed)
@@ -256,12 +220,9 @@ class ProfileEntry:
 
 
 def estimate_profile(
-    domain,
-    t_values,
-    ref_im: float = 0.0,
-    params: WosParams = WosParams(),
+    domain, t_values, params: WosParams = WosParams()
 ) -> list[ProfileEntry]:
-    """Estimates along the horizontal line at height ``ref_im``.
+    """Estimates along the trajectory axis, at the points ``t + 0i``.
 
     Point ``i`` runs with its own stream seeded by ``derive_seed(seed, i)``.
     Per-point failures are captured in the entry instead of aborting the
@@ -271,7 +232,7 @@ def estimate_profile(
     for i, t in enumerate(t_values):
         sub = dataclasses.replace(params, seed=derive_seed(params.seed, i))
         try:
-            est = estimate_upper_measure(domain, complex(t, ref_im), ref_im, sub)
+            est = estimate_upper_measure(domain, complex(t, 0.0), sub)
             entries.append(ProfileEntry(float(t), est))
         except EstimationError as exc:
             entries.append(ProfileEntry(float(t), None, str(exc)))

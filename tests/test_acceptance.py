@@ -92,7 +92,7 @@ def test_pseudo_strip_width_convergence():
     rows = []
     for width in (4.0, 8.0, 16.0, 32.0):
         dom = cs.pseudo_strip(1.0, 3.0, width)
-        est = estimate_upper_measure(dom, 0j, 0.0, WosParams(walkers=100_000, seed=42))
+        est = estimate_upper_measure(dom, 0j, WosParams(walkers=100_000, seed=42))
         rows.append((width, est))
     elapsed = time.perf_counter() - t0
     errs = [abs(e.mean - 0.75) for _, e in rows]
@@ -262,8 +262,8 @@ def test_property_suites():
     # bit-identical repeat of a seeded estimate
     dom = cs.pseudo_strip(1.0, 3.0, 24.0)
     p = WosParams(walkers=20_000, seed=7)
-    e1 = estimate_upper_measure(dom, 0j, 0.0, p)
-    e2 = estimate_upper_measure(dom, 0j, 0.0, p)
+    e1 = estimate_upper_measure(dom, 0j, p)
+    e2 = estimate_upper_measure(dom, 0j, p)
     deterministic = (e1.mean, e1.stderr, e1.walkers_used, e1.lost) == (
         e2.mean, e2.stderr, e2.walkers_used, e2.lost,
     )
@@ -289,14 +289,14 @@ def test_surgery_ordering(forward_run):
     xs = midpoints(plan)
     t = 0.5 * (xs[0] + xs[1])
     base = estimate_upper_measure(
-        domain, complex(t, 0.0), 0.0, dataclasses.replace(params, seed=909)
+        domain, complex(t, 0.0), dataclasses.replace(params, seed=909)
     )
     hi = estimate_upper_measure(
-        surgery(domain, SEAL_GAP, 1), complex(t, 0.0), 0.0,
+        surgery(domain, SEAL_GAP, 1), complex(t, 0.0),
         dataclasses.replace(params, seed=910),
     )
     lo = estimate_upper_measure(
-        surgery(domain, DROP_TOOTH, 1), complex(t, 0.0), 0.0,
+        surgery(domain, DROP_TOOTH, 1), complex(t, 0.0),
         dataclasses.replace(params, seed=911),
     )
     band_lo = 3.0 * math.hypot(base.stderr, lo.stderr)

@@ -147,7 +147,7 @@ class TestCalibration:
     def test_widths_increase_and_floor_applies(self):
         plan = plan_pseudo_strip(1.0, 3.0, 2)
         params = WosParams(walkers=4_000, seed=3)
-        out = calibrate_widths(plan, params, walkers=4_000)
+        out = calibrate_widths(plan, params)
         w = out.block_widths
         assert len(w) == 4
         assert all(b > a for a, b in zip(w, w[1:]))
@@ -196,7 +196,7 @@ class TestVerifyConstruction:
 
     def test_wide_bands_mark_inconclusive_not_fail(self):
         plan = assign_widths(plan_pseudo_strip(1.0, 1.0, 3), [16, 18, 20, 23, 26, 30])
-        rep = verify_construction(plan, WosParams(walkers=30, seed=5), with_surgery=False)
+        rep = verify_construction(plan, WosParams(walkers=30, seed=5))
         assert rep.overall == "inconclusive"
         assert all(r.status in ("pass", "inconclusive") for r in rep.anchor_rows)
         assert any(r.status == "inconclusive" for r in rep.anchor_rows)

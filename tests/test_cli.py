@@ -21,6 +21,16 @@ def plan_path(tmp_path):
     return out
 
 
+@pytest.fixture()
+def backward_plan_path(tmp_path):
+    # midpoints -4, -12.5, -22, -32.5, -44
+    out = tmp_path / "fi2.json"
+    rc = main(["plan", "--backward", "--full-interval", "--r1", "1", "--n", "2",
+               "--widths", "8,9,10,11,12", "-o", str(out)])
+    assert rc == 0
+    return out
+
+
 class TestParseAngle:
     def test_pi_multiples(self):
         assert parse_angle("-0.25pi") == pytest.approx(-math.pi / 4)
@@ -52,6 +62,16 @@ class TestPlanCommand:
         )
         out = capsys.readouterr().out
         assert "upper height" in out and "18" in out
+
+    def test_backward_summary_shows_last_upper_height(self, capsys, backward_plan_path, tmp_path):
+        # tooth 2n + 1 = 5 of a backward plan sits at upper_heights[2] = 1/12
+        rows = capsys.readouterr().out.splitlines()
+        assert "   3   0.0833333      -" in rows
+        main(["plan", "--forward", "--theta1", "-0.25pi", "--theta2", "0.1667pi",
+              "--r1", "6", "--n", "2", "-o", str(tmp_path / "p.json")])
+        rows = capsys.readouterr().out.splitlines()
+        assert rows[-2:] == ["widths: unassigned", f"plan written to {tmp_path / 'p.json'}"]
+        assert rows[-3].startswith("   2   ")
 
     def test_full_interval_plan(self, tmp_path):
         out = tmp_path / "fi.json"
@@ -113,6 +133,14 @@ class TestMeasureCommand:
         assert "measure at t = 100" in capsys.readouterr().out
 
 
+    def test_negative_abscissa(self, backward_plan_path, tmp_path):
+        out = tmp_path / "m.json"
+        rc = main(["measure", "--plan", str(backward_plan_path), "--at", "-2.5e1",
+                   "--walkers", "500", "--seed", "9", "-o", str(out)])
+        assert rc == 0
+        assert json.loads(out.read_text())["t"] == -25.0
+
+
 class TestProfileCommand:
     def test_csv_and_json(self, plan_path, tmp_path):
         csv = tmp_path / "profile.csv"
@@ -131,6 +159,14 @@ class TestProfileCommand:
         assert len(data) == 3
         doc = json.loads(js.read_text())
         assert len(doc["entries"]) == 2
+
+    def test_negative_abscissas(self, backward_plan_path, tmp_path):
+        csv = tmp_path / "profile.csv"
+        rc = main(["profile", "--plan", str(backward_plan_path), "--t", "-20,-30",
+                   "--walkers", "500", "--seed", "4", "-o", str(csv)])
+        assert rc == 0
+        data = [l for l in csv.read_text().splitlines() if not l.startswith("#")]
+        assert [row.split(",")[0] for row in data[1:]] == ["-20.0", "-30.0"]
 
     def test_defaults_to_anchors(self, plan_path, tmp_path):
         csv = tmp_path / "profile.csv"
@@ -218,6 +254,11 @@ class TestModelCommand:
     def test_y0_outside_strip_exits_2(self):
         assert main(["model", "strip", "--d", "1", "--y0", "1.5"]) == 2
 
+    @pytest.mark.parametrize("y0", ["-3", "0"])
+    def test_halfplane_needs_positive_y0(self, y0, capsys):
+        assert main(["model", "halfplane", "--y0", y0]) == 2
+        assert "upper half-plane" in capsys.readouterr().err
+
 
 class TestConfigFile:
     def test_config_supplies_defaults_flags_win(self, plan_path, tmp_path):
@@ -233,3 +274,14 @@ class TestConfigFile:
                    "--config", str(cfg), "--seed", "9", "-o", str(csv2)])
         assert rc == 0
         assert "# seed 9" in csv2.read_text()
+
+    def test_config_turns_on_switches(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"calibrate": True, "walkers": 2000, "seed": 5}))
+        out = tmp_path / "p.json"
+        rc = main(["plan", "--forward", "--theta1", "-0.25pi", "--theta2", "0.1667pi",
+                   "--r1", "6", "--n", "2", "--seed", "0", "--config", str(cfg), "-o", str(out)])
+        assert rc == 0
+        doc = json.loads(out.read_text())
+        assert doc["widths_mode"] == "calibrated"
+        assert doc["meta"]["seed"] == 0  # a flag set to 0 still wins

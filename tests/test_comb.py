@@ -1,5 +1,6 @@
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,11 +12,9 @@ from combslope.comb import (
     assign_widths,
     boundary_distance,
     build_comb,
-    classify_hit,
     domain_from_dict,
     domain_to_dict,
     midpoints,
-    nearest_boundary_point,
     plan_backward,
     plan_backward_special,
     plan_forward,
@@ -397,21 +396,29 @@ class TestBoundaryDistance:
         assert domain.teeth[i].label == "upper"
 
     def test_nearest_point(self, six_plan_widths):
+        # the nearest boundary point of 5 is 5 + 6i, on the first tooth
         domain = build_comb(six_plan_widths)
-        p, i = nearest_boundary_point(domain, 5 + 0j)
-        assert p == 5 + 6j
+        d, i = boundary_distance(domain, 5 + 0j)
+        assert (d, i) == (6.0, 0)
+        assert domain.teeth[i].ray.anchor == 10 + 6j
+
+    def test_segments_must_follow_half_lines(self, six_plan_widths):
+        # the kernel's rows follow the features; a reordered list is refused
+        domain = build_comb(six_plan_widths)
+        seal = surgery(domain, SEAL_GAP, 2)
+        reordered = SimpleNamespace(features=lambda: ((seal.segment, "upper"), *domain.features()))
+        with pytest.raises(DomainError):
+            boundary_distance(reordered, 5 + 0j)
 
 
 class TestClassifyHit:
     def test_examples(self, six_plan_widths):
+        # a hit takes the label of the feature it lands on
         domain = build_comb(six_plan_widths)
-        assert classify_hit(domain, 10 + 6j, 0.0) == "upper"
-        assert classify_hit(domain, 30 - 18j, 0.0) == "lower"
-
-    def test_exact_reference_height_is_an_error(self, six_plan_widths):
-        domain = build_comb(six_plan_widths)
-        with pytest.raises(DomainError):
-            classify_hit(domain, 7 + 0j, 0.0)
+        labels = [label for _, label in domain.features()]
+        for hit, want in ((10 + 6j, "upper"), (30 - 18j, "lower")):
+            d, i = boundary_distance(domain, hit)
+            assert d == 0.0 and labels[i] == want
 
 
 class TestSerialization:

@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,15 +9,12 @@ from hypothesis import strategies as st
 from combslope.errors import DomainError
 from combslope.geometry import (
     BoundaryArc,
+    FeatureArrays,
     HalfLine,
     HSegment,
     RectWitness,
-    dist_to_halfline,
-    dist_to_hsegment,
     level_set_arc,
     mobius_to_zero,
-    nearest_point_on_halfline,
-    nearest_point_on_hsegment,
     require_finite,
     slope_of,
     tangent_ray,
@@ -27,33 +25,37 @@ points = st.builds(complex, finite_floats, finite_floats)
 angles = st.floats(min_value=0.0, max_value=2 * math.pi, exclude_max=True)
 
 
+def _dist(p: complex, geom) -> float:
+    d = FeatureArrays([(geom, "upper")]).distances(np.array([p.real]), np.array([p.imag]))
+    return float(d[0, 0])
+
+
 class TestHalfLine:
     def test_distance_examples(self):
-        assert dist_to_halfline(0j, HalfLine(1 + 1j)) == 1.0
-        assert dist_to_halfline(2 + 1j, HalfLine(1 + 1j)) == 1.0
-        assert dist_to_halfline(3 + 4j, HalfLine(0j)) == 5.0
+        assert _dist(0j, HalfLine(1 + 1j)) == 1.0
+        assert _dist(2 + 1j, HalfLine(1 + 1j)) == 1.0
+        assert _dist(3 + 4j, HalfLine(0j)) == 5.0
 
     def test_nearest_examples(self):
-        assert nearest_point_on_halfline(0j, HalfLine(1 + 1j)) == 1j
-        assert nearest_point_on_halfline(2 + 1j, HalfLine(1 + 1j)) == 1 + 1j
-        assert nearest_point_on_halfline(-5 + 0.3j, HalfLine(1 + 0j)) == -5 + 0j
+        # distances to the nearest ray points 1j, 1 + 1j and -5
+        assert _dist(0j, HalfLine(1 + 1j)) == abs(0j - 1j)
+        assert _dist(2 + 1j, HalfLine(1 + 1j)) == abs(2 + 1j - (1 + 1j))
+        assert _dist(-5 + 0.3j, HalfLine(1 + 0j)) == abs(-5 + 0.3j - (-5 + 0j))
 
     def test_on_ray_is_zero(self):
         h = HalfLine(2 - 1j)
-        assert dist_to_halfline(2 - 1j, h) == 0.0
-        assert dist_to_halfline(-7 - 1j, h) == 0.0
+        assert _dist(2 - 1j, h) == 0.0
+        assert _dist(-7 - 1j, h) == 0.0
 
     @given(points, points)
     def test_distance_matches_nearest_point(self, p, anchor):
-        h = HalfLine(anchor)
-        assert dist_to_halfline(p, h) == pytest.approx(
-            abs(p - nearest_point_on_halfline(p, h)), abs=1e-12
-        )
+        # the nearest ray point is straight above or below p, or the anchor
+        nearest = complex(min(p.real, anchor.real), anchor.imag)
+        assert _dist(p, HalfLine(anchor)) == pytest.approx(abs(p - nearest), abs=1e-12)
 
     @given(points, points, st.floats(min_value=0, max_value=100))
     def test_nearest_point_is_minimal(self, p, anchor, back):
-        h = HalfLine(anchor)
-        assert dist_to_halfline(p, h) <= abs(p - (anchor - back)) + 1e-12
+        assert _dist(p, HalfLine(anchor)) <= abs(p - (anchor - back)) + 1e-12
 
     def test_rejects_nonfinite_anchor(self):
         with pytest.raises(DomainError):
@@ -63,10 +65,10 @@ class TestHalfLine:
 class TestHSegment:
     def test_distance_clamps(self):
         s = HSegment(-1.0, 2.0, 1.0)
-        assert dist_to_hsegment(0.5 + 1j, s) == 0.0
-        assert dist_to_hsegment(3 + 1j, s) == 1.0
-        assert dist_to_hsegment(0 + 0j, s) == 1.0
-        assert nearest_point_on_hsegment(5 + 2j, s) == 2 + 1j
+        assert _dist(0.5 + 1j, s) == 0.0
+        assert _dist(3 + 1j, s) == 1.0
+        assert _dist(0 + 0j, s) == 1.0
+        assert _dist(5 + 2j, s) == abs(3 + 1j)
 
     def test_needs_positive_extent(self):
         with pytest.raises(DomainError):

@@ -4,16 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from combslope.comb import assign_widths, build_comb, plan_forward
 from combslope.errors import DomainError
 from combslope.exact import strip_upper_measure
 from combslope.semigroup import (
-    FixedPointClass,
     HalfPlaneModel,
-    SemigroupClass,
     StripModel,
-    classify_domain,
-    classify_fixed_point,
     slope_minus,
     slope_plus,
     trajectory,
@@ -32,31 +27,6 @@ def _disk_grid(n=10, rmax=0.93):
             if abs(z) < rmax:
                 pts.append(z)
     return pts
-
-
-class TestClassification:
-    def test_strip_is_hyperbolic(self):
-        assert classify_domain(StripModel(1.0)) is SemigroupClass.HYPERBOLIC
-
-    def test_half_plane_is_parabolic_positive(self):
-        assert classify_domain(HALF) is SemigroupClass.PARABOLIC_POSITIVE_STEP
-
-    def test_comb_is_parabolic_zero(self):
-        plan = assign_widths(plan_forward(-math.pi / 4, math.pi / 6, 6, 2), [10, 20, 30, 40])
-        assert classify_domain(plan) is SemigroupClass.PARABOLIC_ZERO_STEP
-        assert classify_domain(build_comb(plan)) is SemigroupClass.PARABOLIC_ZERO_STEP
-
-    def test_unknown_rejected(self):
-        with pytest.raises(DomainError):
-            classify_domain("strip")
-
-    def test_fixed_point_taxonomy(self):
-        assert classify_fixed_point(0.5) is FixedPointClass.ATTRACTIVE
-        assert classify_fixed_point(1.0) is FixedPointClass.ATTRACTIVE
-        assert classify_fixed_point(2.5) is FixedPointClass.REPULSIVE
-        assert classify_fixed_point(math.inf) is FixedPointClass.SUPER_REPULSIVE
-        with pytest.raises(DomainError):
-            classify_fixed_point(0.0)
 
 
 class TestKoenigsMaps:
@@ -125,14 +95,8 @@ class TestTrajectory:
     def test_start_time_is_minus_infinity(self):
         # both model domains contain full leftward rays, so every time is legal
         for model in (STRIP, HALF):
-            traj = trajectory(model, 0.1j if model is HALF else 0.1, [-50.0, 0.0, 50.0])
-            assert traj.start_time == -math.inf
-
-    def test_finite_start_time_branch_is_structural(self):
-        from combslope.semigroup import Trajectory
-
-        with pytest.raises(DomainError):
-            Trajectory(STRIP, 0, 0.0, (-1.0,), (0j,), (0j,))
+            traj = trajectory(model, 0.1j if model is HALF else 0.1, [-1e6, -50.0, 0.0, 50.0])
+            assert all(abs(z) <= 1.0 for z in traj.points)
 
 
 class TestSlopes:

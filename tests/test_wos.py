@@ -4,7 +4,17 @@ import math
 import numpy as np
 import pytest
 
-from combslope.comb import DROP_TOOTH, SEAL_GAP, assign_widths, build_comb, plan_forward, pseudo_strip, surgery
+from combslope.comb import (
+    DROP_TOOTH,
+    SEAL_GAP,
+    CombDomain,
+    Tooth,
+    assign_widths,
+    build_comb,
+    plan_forward,
+    pseudo_strip,
+    surgery,
+)
 from combslope.errors import EstimationError
 from combslope.exact import strip_upper_measure
 from combslope.wos import (
@@ -75,7 +85,7 @@ class TestParams:
 class TestEstimator:
     def test_pseudo_strip_three_quarters(self):
         dom = pseudo_strip(1.0, 3.0, 32.0)
-        est = estimate_upper_measure(dom, 0j, 0.0, WosParams(walkers=20_000, seed=2))
+        est = estimate_upper_measure(dom, 0j, WosParams(walkers=20_000, seed=2))
         assert abs(est.mean - 0.75) < max(0.01, 3 * est.stderr)
         assert est.stderr == pytest.approx(
             math.sqrt(est.mean * (1 - est.mean) / est.walkers_used)
@@ -84,19 +94,19 @@ class TestEstimator:
 
     def test_symmetric_half(self):
         dom = pseudo_strip(2.0, 2.0, 40.0)
-        est = estimate_upper_measure(dom, 0j, 0.0, WosParams(walkers=20_000, seed=3))
+        est = estimate_upper_measure(dom, 0j, WosParams(walkers=20_000, seed=3))
         assert abs(est.mean - 0.5) < 4 * est.stderr
 
     def test_matches_exact_ratio_for_other_proportions(self):
         dom = pseudo_strip(2.0, 1.0, 30.0)
-        est = estimate_upper_measure(dom, 0j, 0.0, WosParams(walkers=20_000, seed=4))
+        est = estimate_upper_measure(dom, 0j, WosParams(walkers=20_000, seed=4))
         assert abs(est.mean - strip_upper_measure(2.0, 1.0)) < max(0.01, 3 * est.stderr)
 
     def test_deterministic_repeat(self):
         dom = pseudo_strip(1.0, 3.0, 16.0)
         p = WosParams(walkers=5_000, seed=5)
-        a = estimate_upper_measure(dom, 0j, 0.0, p)
-        b = estimate_upper_measure(dom, 0j, 0.0, p)
+        a = estimate_upper_measure(dom, 0j, p)
+        b = estimate_upper_measure(dom, 0j, p)
         assert (a.mean, a.stderr, a.walkers_used, a.lost) == (
             b.mean,
             b.stderr,
@@ -106,25 +116,26 @@ class TestEstimator:
 
     def test_seed_changes_result(self):
         dom = pseudo_strip(1.0, 3.0, 16.0)
-        a = estimate_upper_measure(dom, 0j, 0.0, WosParams(walkers=5_000, seed=5))
-        b = estimate_upper_measure(dom, 0j, 0.0, WosParams(walkers=5_000, seed=6))
+        a = estimate_upper_measure(dom, 0j, WosParams(walkers=5_000, seed=5))
+        b = estimate_upper_measure(dom, 0j, WosParams(walkers=5_000, seed=6))
         assert a.mean != b.mean
 
     def test_rescale_invariance_of_scaled_domain(self):
         # the same geometry at 1000x scale gives the identical estimate
         a = estimate_upper_measure(
-            pseudo_strip(1.0, 3.0, 24.0), 0j, 0.0, WosParams(walkers=2_000, seed=8)
+            pseudo_strip(1.0, 3.0, 24.0), 0j, WosParams(walkers=2_000, seed=8)
         )
         b = estimate_upper_measure(
-            pseudo_strip(1000.0, 3000.0, 24000.0), 0j, 0.0, WosParams(walkers=2_000, seed=8)
+            pseudo_strip(1000.0, 3000.0, 24000.0), 0j, WosParams(walkers=2_000, seed=8)
         )
         assert a.mean == b.mean
 
-    def test_reference_height_splits_classification(self):
-        dom = pseudo_strip(1.0, 1.0, 30.0)
-        p = WosParams(walkers=5_000, seed=9)
-        above = estimate_upper_measure(dom, 0j, -3.0, p)  # everything is "upper"
-        assert above.mean == 1.0
+    def test_labels_decide_classification(self):
+        # a hit counts by its feature's label, whatever the feature's height
+        teeth = pseudo_strip(1.0, 1.0, 30.0).teeth
+        relabeled = CombDomain(tuple(Tooth(t.ray, "upper") for t in teeth), "forward", 1)
+        est = estimate_upper_measure(relabeled, 0j, WosParams(walkers=5_000, seed=9))
+        assert est.mean == 1.0
 
     def test_start_too_close_to_boundary(self):
         dom = pseudo_strip(1.0, 1.0, 20.0)
@@ -132,15 +143,15 @@ class TestEstimator:
         # starting distance, so only an exact boundary point is rejected
         with pytest.raises(EstimationError):
             estimate_upper_measure(
-                dom, 10 + 0.9999999j, 0.0, WosParams(walkers=10, seed=0, rescale=False)
+                dom, 10 + 0.9999999j, WosParams(walkers=10, seed=0, rescale=False)
             )
         with pytest.raises(EstimationError):
-            estimate_upper_measure(dom, 3 + 1j, 0.0, WosParams(walkers=10, seed=0))
+            estimate_upper_measure(dom, 3 + 1j, WosParams(walkers=10, seed=0))
 
     def test_lost_walkers_reported_not_dropped(self):
         dom = pseudo_strip(1.0, 3.0, 8.0)
         p = WosParams(walkers=2_000, seed=1, max_steps=12, max_lost_fraction=1e-3)
-        est = estimate_upper_measure(dom, 0j, 0.0, p)
+        est = estimate_upper_measure(dom, 0j, p)
         assert est.lost > 0
         assert est.walkers_used + est.lost == 2_000
         assert not est.valid  # lost fraction above the threshold is flagged
@@ -149,13 +160,13 @@ class TestEstimator:
     def test_all_lost_raises(self):
         dom = pseudo_strip(1.0, 3.0, 8.0)
         with pytest.raises(EstimationError):
-            estimate_upper_measure(dom, 0j, 0.0, WosParams(walkers=50, seed=1, max_steps=1))
+            estimate_upper_measure(dom, 0j, WosParams(walkers=50, seed=1, max_steps=1))
 
     def test_unbiased_at_symmetry_across_seeds(self):
         dom = pseudo_strip(1.5, 1.5, 30.0)
         hits = 0
         for seed in range(20):
-            est = estimate_upper_measure(dom, 0j, 0.0, WosParams(walkers=4_000, seed=seed))
+            est = estimate_upper_measure(dom, 0j, WosParams(walkers=4_000, seed=seed))
             if abs(est.mean - 0.5) < 4 * est.stderr:
                 hits += 1
         assert hits >= 19
@@ -163,7 +174,7 @@ class TestEstimator:
     def test_uncapped_radius_matches_physics(self):
         dom = pseudo_strip(1.0, 3.0, 32.0)
         est = estimate_upper_measure(
-            dom, 0j, 0.0, WosParams(walkers=10_000, seed=12, radius_cap=None)
+            dom, 0j, WosParams(walkers=10_000, seed=12, radius_cap=None)
         )
         assert abs(est.mean - 0.75) < max(0.015, 4 * est.stderr)
 
@@ -178,9 +189,9 @@ class TestSurgeryOrdering:
         dropped = surgery(domain, DROP_TOOTH, 1)
         t = complex(400.0, 0.0)
         p = WosParams(walkers=8_000, seed=21)
-        base = estimate_upper_measure(domain, t, 0.0, p)
-        hi = estimate_upper_measure(sealed, t, 0.0, dataclasses.replace(p, seed=22))
-        lo = estimate_upper_measure(dropped, t, 0.0, dataclasses.replace(p, seed=23))
+        base = estimate_upper_measure(domain, t, p)
+        hi = estimate_upper_measure(sealed, t, dataclasses.replace(p, seed=22))
+        lo = estimate_upper_measure(dropped, t, dataclasses.replace(p, seed=23))
         band = 3 * math.hypot(base.stderr, hi.stderr) + 3 * math.hypot(base.stderr, lo.stderr)
         assert lo.mean - band <= base.mean <= hi.mean + band
 
@@ -191,27 +202,26 @@ class TestProfile:
 
     def test_per_point_seeds_differ(self):
         dom = pseudo_strip(1.0, 1.0, 30.0)
-        entries = estimate_profile(dom, [0.0, 0.0], 0.0, WosParams(walkers=2_000, seed=5))
+        entries = estimate_profile(dom, [0.0, 0.0], WosParams(walkers=2_000, seed=5))
         assert entries[0].estimate.mean != entries[1].estimate.mean
 
     def test_failures_reported_per_entry(self):
         dom = pseudo_strip(1.0, 1.0, 30.0)
         entries = estimate_profile(
-            dom, [0.0, 15.0 + 0.0], 0.0, WosParams(walkers=500, seed=5)
+            dom, [0.0, 15.0 + 0.0], WosParams(walkers=500, seed=5)
         )
         assert entries[0].error is None
         # t = 15 sits exactly on the anchor abscissa at height 0, interior;
-        # force a failure with an off-boundary point instead
-        entries = estimate_profile(dom, [0.0], 1.0, WosParams(walkers=10, seed=0))
-        # height 1 is on the upper tooth far from its tip: boundary point
-        assert entries[0].error is not None
+        # force a failure with a step budget that loses every walker instead
+        entries = estimate_profile(dom, [0.0], WosParams(walkers=10, seed=0, max_steps=1))
+        assert "all 10 walkers lost" in entries[0].error
         assert entries[0].estimate is None
 
     def test_deterministic(self):
         dom = pseudo_strip(1.0, 2.0, 30.0)
         p = WosParams(walkers=1_000, seed=33)
-        a = estimate_profile(dom, [0.0, 1.0, 2.0], 0.0, p)
-        b = estimate_profile(dom, [0.0, 1.0, 2.0], 0.0, p)
+        a = estimate_profile(dom, [0.0, 1.0, 2.0], p)
+        b = estimate_profile(dom, [0.0, 1.0, 2.0], p)
         assert [e.estimate.mean for e in a] == [e.estimate.mean for e in b]
 
 
@@ -219,7 +229,7 @@ class TestSerialization:
     def test_csv_header_names_rng_and_seed(self):
         dom = pseudo_strip(1.0, 1.0, 20.0)
         p = WosParams(walkers=500, seed=77)
-        entries = estimate_profile(dom, [0.0, 2.0], 0.0, p)
+        entries = estimate_profile(dom, [0.0, 2.0], p)
         text = profile_to_csv(entries, p)
         head, cols = text.splitlines()[:2]
         assert "splitmix64-angles-v1" in head and "seed 77" in head
@@ -229,8 +239,8 @@ class TestSerialization:
     def test_csv_deterministic(self):
         dom = pseudo_strip(1.0, 1.0, 20.0)
         p = WosParams(walkers=500, seed=78)
-        a = profile_to_csv(estimate_profile(dom, [0.0], 0.0, p), p)
-        b = profile_to_csv(estimate_profile(dom, [0.0], 0.0, p), p)
+        a = profile_to_csv(estimate_profile(dom, [0.0], p), p)
+        b = profile_to_csv(estimate_profile(dom, [0.0], p), p)
         assert a == b
 
     def test_estimate_dict_omits_elapsed(self):
