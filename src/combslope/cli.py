@@ -118,19 +118,35 @@ def _csv_meta(args: argparse.Namespace, schema: str, seed: int | None = None) ->
     return "\n".join(lines) + "\n"
 
 
+# output paths a command falls back on when neither a flag nor the config
+# names one; they start as None so that a config file can set them
+_DEFAULT_OUTPUTS = {
+    "plan": ("output", "plan.json"),
+    "build": ("output", "domain.json"),
+    "profile": ("output", "profile.csv"),
+    "verify": ("out_dir", "report"),
+}
+
+
 def _apply_config(args: argparse.Namespace) -> argparse.Namespace:
     """Fill options left unset (None) and switches left off (False) from a
-    JSON config file; flags win."""
-    if getattr(args, "config", None) is None:
-        return args
-    cfg = json.loads(Path(args.config).read_text())
-    if not isinstance(cfg, dict):
-        raise ValueError("config file must hold a JSON object")
-    for key, val in cfg.items():
-        attr = key.replace("-", "_")
-        # identity, not "in (None, False)", since an explicit 0 == False
-        if hasattr(args, attr) and (getattr(args, attr) is None or getattr(args, attr) is False):
-            setattr(args, attr, val)
+    JSON config file, then unset output paths from their built-in names;
+    flags win."""
+    if getattr(args, "config", None) is not None:
+        cfg = json.loads(Path(args.config).read_text())
+        if not isinstance(cfg, dict):
+            raise ValueError("config file must hold a JSON object")
+        for key, val in cfg.items():
+            attr = key.replace("-", "_")
+            if not hasattr(args, attr):
+                continue
+            current = getattr(args, attr)
+            # identity, not "in (None, False)", since an explicit 0 == False
+            if current is None or current is False:
+                setattr(args, attr, val)
+    attr, name = _DEFAULT_OUTPUTS.get(args.command, (None, None))
+    if attr is not None and getattr(args, attr) is None:
+        setattr(args, attr, name)
     return args
 
 
@@ -378,13 +394,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=None, help="tooth pairs (default 4)")
     p.add_argument("--widths", default=None, help="explicit widths, comma separated")
     p.add_argument("--calibrate", action="store_true", help="calibrate widths by Monte Carlo")
-    p.add_argument("-o", "--output", default="plan.json")
+    p.add_argument("-o", "--output", default=None, help="plan JSON path (default plan.json)")
     _add_wos_flags(p)
     p.set_defaults(func=cmd_plan)
 
     p = sub.add_parser("build", help="place the teeth of a plan and write the domain")
     p.add_argument("--plan", required=True)
-    p.add_argument("-o", "--output", default="domain.json")
+    p.add_argument("-o", "--output", default=None, help="domain JSON path (default domain.json)")
     p.add_argument("--svg", default=None, help="also render the comb as SVG")
     p.add_argument("--svg-log-y", action="store_true", help="signed-log vertical scale")
     p.add_argument("--config", default=None)
@@ -400,14 +416,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("profile", help="estimates along the axis, CSV/JSON out")
     p.add_argument("--plan", required=True)
     p.add_argument("--t", default=None, help="comma-separated abscissas (default: anchors)")
-    p.add_argument("-o", "--output", default="profile.csv")
+    p.add_argument("-o", "--output", default=None, help="profile CSV path (default profile.csv)")
     p.add_argument("--json", default=None, help="also write a JSON profile")
     _add_wos_flags(p)
     p.set_defaults(func=cmd_profile)
 
     p = sub.add_parser("verify", help="run the full construction verification")
     p.add_argument("--plan", required=True)
-    p.add_argument("--out-dir", default="report")
+    p.add_argument("--out-dir", default=None, help="report directory (default report)")
     p.add_argument("--svg-log-y", action="store_true")
     _add_wos_flags(p)
     p.set_defaults(func=cmd_verify)

@@ -474,9 +474,9 @@ def pseudo_strip(dist_up: float, dist_down: float, width: float) -> CombDomain:
 
 def boundary_distance(domain, p: complex) -> tuple[float, int]:
     """Distance from ``p`` to the domain boundary and the nearest feature index."""
-    d = FeatureArrays(domain.features()).distances(np.array([p.real]), np.array([p.imag]))[:, 0]
-    i = int(d.argmin())
-    return float(d[i]), i
+    feats = FeatureArrays(domain.features())
+    x, y = np.array([p.real]), np.array([p.imag])
+    return float(feats.distances(x, y)[0]), int(feats.nearest(x, y)[0])
 
 
 def usable_anchor_indices(plan: SequencePlan) -> tuple[int, ...]:

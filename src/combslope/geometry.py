@@ -109,8 +109,8 @@ class FeatureArrays:
 
     ``features`` holds ``(geometry, label)`` pairs, each geometry a
     :class:`HalfLine` or an :class:`HSegment` and each label ``"upper"`` or
-    ``"lower"``; every half-line comes before any segment, so row ``i`` of
-    :meth:`distances` and ``is_upper[i]`` belong to feature ``i``.
+    ``"lower"``; every half-line comes before any segment, so index ``i``
+    from :meth:`nearest` and ``is_upper[i]`` belong to feature ``i``.
     Coordinates are stored as ``(z - origin) / scale``.
     """
 
@@ -127,23 +127,46 @@ class FeatureArrays:
             else:
                 raise DomainError(f"expected half-lines, then segments; got {type(geom)!r}")
             upper.append(label == "upper")
-        self.hx = np.asarray(hx)[:, None]
-        self.hy = np.asarray(hy)[:, None]
-        self.sx0 = np.asarray(sx0)[:, None]
-        self.sx1 = np.asarray(sx1)[:, None]
-        self.sy = np.asarray(sy)[:, None]
+        self.halflines = list(zip(hx, hy))
+        self.segments = list(zip(sx0, sx1, sy))
         self.is_upper = np.asarray(upper, dtype=bool)
 
+    def _each(self, x: np.ndarray, y: np.ndarray):
+        """Yield the points' distances to each closed feature in turn, 0
+        exactly on it.  Every yield reuses one buffer, so use it before
+        asking for the next."""
+        dx = np.empty_like(x)
+        d = np.empty_like(x)
+        for hx, hy in self.halflines:
+            # hypot(+-0, dy) == |dy|: straight above or below the ray
+            np.subtract(x, hx, out=dx)
+            np.maximum(dx, 0.0, out=dx)
+            np.subtract(y, hy, out=d)
+            yield np.hypot(dx, d, out=d)
+        for x0, x1, sy in self.segments:
+            np.clip(x, x0, x1, out=dx)
+            np.subtract(x, dx, out=dx)
+            np.subtract(y, sy, out=d)
+            yield np.hypot(dx, d, out=d)
+
     def distances(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Distance matrix to the closed features, one row per feature, one
-        column per point; 0 exactly on a feature."""
-        dxh = x[None, :] - self.hx
-        dh = np.where(dxh <= 0.0, np.abs(y[None, :] - self.hy), np.hypot(dxh, y[None, :] - self.hy))
-        if self.sy.size:
-            cx = np.clip(x[None, :], self.sx0, self.sx1)
-            ds = np.hypot(x[None, :] - cx, y[None, :] - self.sy)
-            return np.vstack([dh, ds])
-        return dh
+        """Each point's distance to its nearest feature: a running minimum
+        over the features, one pass each, with no features-by-points
+        matrix."""
+        out = np.full_like(x, np.inf)
+        for d in self._each(x, y):
+            np.minimum(out, d, out=out)
+        return out
+
+    def nearest(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Index of each point's nearest feature, the first one on ties."""
+        best = np.full_like(x, np.inf)
+        idx = np.zeros(x.shape, dtype=np.intp)
+        for i, d in enumerate(self._each(x, y)):
+            closer = d < best
+            np.copyto(best, d, where=closer)
+            idx[closer] = i
+        return idx
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,11 @@ fixed seed regardless of batching, merge order, or how many walkers are
 still active.  Tallies are integer counts, so merging is associative.  The
 stream algorithm is named by ``RNG_ALGORITHM`` and frozen; changing it is a
 breaking change for stored fixtures.
+
+Memory: walkers run in chunks of ``_CHUNK`` with their global ids, and the
+distance kernel keeps one running minimum per point instead of a
+features-by-walkers matrix.  An estimate is bit-identical for any chunk
+size, and its memory is bounded by the chunk, not by the walker count.
 """
 
 from __future__ import annotations
@@ -44,6 +49,9 @@ __all__ = [
 ]
 
 RNG_ALGORITHM = "splitmix64-angles-v1"
+
+# walkers per chunk: bounds an estimate's temporaries, never its result
+_CHUNK = 1 << 16
 
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -169,26 +177,44 @@ def estimate_upper_measure(
             f"epsilon shell {params.epsilon_shell} (scale {scale})"
         )
     feats = _FeatureArrays(domain.features(), origin=point, scale=scale)
-    eps = params.epsilon_shell
-    cap = params.radius_cap
     seed_mixed = _mix64(params.seed)
 
     n = params.walkers
-    x = np.zeros(n)
-    y = np.zeros(n)
-    ids = np.arange(n, dtype=np.uint64)
     upper_hits = 0
     absorbed = 0
+    for lo in range(0, n, _CHUNK):
+        ids = np.arange(lo, min(lo + _CHUNK, n), dtype=np.uint64)
+        hits, done = _walk(feats, ids, seed_mixed, params)
+        upper_hits += hits
+        absorbed += done
 
+    lost = n - absorbed
+    elapsed = time.perf_counter() - t0
+    if absorbed == 0:
+        raise EstimationError(
+            f"all {n} walkers lost (max_steps = {params.max_steps}, "
+            f"epsilon_shell = {params.epsilon_shell}, scale = {scale})"
+        )
+    mean = upper_hits / absorbed
+    stderr = float(np.sqrt(mean * (1.0 - mean) / absorbed))
+    valid = lost / n <= params.max_lost_fraction
+    return MeasureEstimate(mean, stderr, absorbed, lost, elapsed, valid)
+
+
+def _walk(feats: _FeatureArrays, ids: np.ndarray, seed_mixed: int, params: WosParams):
+    """Walk the walkers ``ids`` from the origin until each is absorbed or
+    out of steps; returns ``(upper hits, absorbed)``."""
+    eps = params.epsilon_shell
+    cap = params.radius_cap
+    x = np.zeros(ids.size)
+    y = np.zeros(ids.size)
+    upper_hits = 0
+    absorbed = 0
     for step in range(params.max_steps):
-        if x.size == 0:
-            break
-        dists = feats.distances(x, y)
-        dmin = dists.min(axis=0)
+        dmin = feats.distances(x, y)
         hit = dmin <= eps
         if hit.any():
-            nearest = dists[:, hit].argmin(axis=0)
-            upper_hits += int(feats.is_upper[nearest].sum())
+            upper_hits += int(feats.is_upper[feats.nearest(x[hit], y[hit])].sum())
             absorbed += int(hit.sum())
             keep = ~hit
             x, y, ids, dmin = x[keep], y[keep], ids[keep], dmin[keep]
@@ -196,20 +222,9 @@ def estimate_upper_measure(
                 break
         r = dmin if cap is None else np.minimum(dmin, cap)
         theta = _uniform_angles(seed_mixed, ids, step)
-        x = x + r * np.cos(theta)
-        y = y + r * np.sin(theta)
-
-    lost = int(x.size)
-    elapsed = time.perf_counter() - t0
-    if absorbed == 0:
-        raise EstimationError(
-            f"all {n} walkers lost (max_steps = {params.max_steps}, "
-            f"epsilon_shell = {eps}, scale = {scale})"
-        )
-    mean = upper_hits / absorbed
-    stderr = float(np.sqrt(mean * (1.0 - mean) / absorbed))
-    valid = lost / n <= params.max_lost_fraction
-    return MeasureEstimate(mean, stderr, absorbed, lost, elapsed, valid)
+        x += r * np.cos(theta)
+        y += r * np.sin(theta)
+    return upper_hits, absorbed
 
 
 @dataclass(frozen=True)

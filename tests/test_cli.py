@@ -285,3 +285,33 @@ class TestConfigFile:
         doc = json.loads(out.read_text())
         assert doc["widths_mode"] == "calibrated"
         assert doc["meta"]["seed"] == 0  # a flag set to 0 still wins
+
+    def test_config_names_plan_output(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"output": "from_config.json"}))
+        flags = ["plan", "--forward", "--theta1", "-0.25pi", "--theta2", "0.1667pi",
+                 "--r1", "6", "--n", "2", "--widths", "200,1100,2600,7000"]
+        assert main(flags + ["--config", str(cfg)]) == 0
+        assert (tmp_path / "from_config.json").exists()
+        assert not (tmp_path / "plan.json").exists()
+        # a flag still beats the config, and without either the built-in name holds
+        assert main(flags + ["--config", str(cfg), "-o", "flag.json"]) == 0
+        assert (tmp_path / "flag.json").exists()
+        assert main(flags) == 0
+        doc = json.loads((tmp_path / "plan.json").read_text())
+        assert doc["meta"]["config"]["output"] == "plan.json"
+
+    def test_config_names_verify_out_dir(self, plan_path, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"out_dir": "cfg_report", "walkers": 10, "seed": 3}))
+        assert main(["verify", "--plan", str(plan_path), "--config", str(cfg)]) == 0
+        assert (tmp_path / "cfg_report" / "report.json").exists()
+        assert not (tmp_path / "report").exists()
+
+    def test_help_names_default_outputs(self, capsys):
+        for cmd, name in (("plan", "plan.json"), ("build", "domain.json"),
+                          ("profile", "profile.csv"), ("verify", "report")):
+            assert main([cmd, "--help"]) == 0
+            assert f"(default {name})" in capsys.readouterr().out

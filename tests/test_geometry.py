@@ -27,7 +27,7 @@ angles = st.floats(min_value=0.0, max_value=2 * math.pi, exclude_max=True)
 
 def _dist(p: complex, geom) -> float:
     d = FeatureArrays([(geom, "upper")]).distances(np.array([p.real]), np.array([p.imag]))
-    return float(d[0, 0])
+    return float(d[0])
 
 
 class TestHalfLine:
@@ -73,6 +73,76 @@ class TestHSegment:
     def test_needs_positive_extent(self):
         with pytest.raises(DomainError):
             HSegment(1.0, 1.0, 0.0)
+
+
+# small integer coordinates make ties and exact hits common
+coords = st.one_of(st.integers(-3, 3).map(float), finite_floats)
+
+
+@st.composite
+def feature_sets(draw):
+    """Half-lines first, then segments, as FeatureArrays requires."""
+    labels = st.sampled_from(["upper", "lower"])
+    halves = draw(st.lists(st.builds(complex, coords, coords), min_size=1, max_size=4))
+    feats = [(HalfLine(a), draw(labels)) for a in halves]
+    for _ in range(draw(st.integers(0, 3))):
+        x_lo = draw(coords)
+        x_hi = x_lo + draw(st.sampled_from([1.0, 2.5]) | st.floats(0.01, 20))
+        feats.append((HSegment(x_lo, x_hi, draw(coords)), draw(labels)))
+    return feats
+
+
+@st.composite
+def probe_points(draw, feats):
+    """Free points, points straight above or below an anchor (dx == 0.0),
+    a point at -0.0 beside an anchor at 0.0 (dx == -0.0), and points on
+    segments."""
+    pts = draw(st.lists(st.builds(complex, coords, coords), max_size=6))
+    for geom, _ in feats:
+        if isinstance(geom, HalfLine):
+            pts.append(complex(geom.anchor.real, draw(coords)))
+        else:
+            pts.append(complex(draw(st.floats(geom.x_lo, geom.x_hi)), geom.y))
+    pts.append(complex(-0.0, draw(coords)))
+    return pts
+
+
+def _reference(p: complex, geom) -> float:
+    """One feature's distance by the per-feature formula the kernel folds."""
+    x, y = np.array([p.real]), np.array([p.imag])
+    if isinstance(geom, HalfLine):
+        dx, dy = x - geom.anchor.real, y - geom.anchor.imag
+        d = np.where(dx <= 0.0, np.abs(dy), np.hypot(dx, dy))
+    else:
+        d = np.hypot(x - np.clip(x, geom.x_lo, geom.x_hi), y - geom.y)
+    return float(d[0])
+
+
+class TestKernel:
+    @settings(max_examples=300)
+    @given(st.data())
+    def test_running_minimum_is_exact(self, data):
+        feats = data.draw(feature_sets())
+        if data.draw(st.booleans()):
+            feats.insert(0, (HalfLine(complex(0.0, data.draw(coords))), "upper"))
+        pts = data.draw(probe_points(feats))
+        x = np.array([p.real for p in pts])
+        y = np.array([p.imag for p in pts])
+        arrays = FeatureArrays(feats)
+        dist, near = arrays.distances(x, y), arrays.nearest(x, y)
+        assert dist.shape == near.shape == x.shape
+        for k, p in enumerate(pts):
+            ref = [_reference(p, geom) for geom, _ in feats]
+            assert dist[k] == min(ref)  # bit for bit
+            assert near[k] == ref.index(min(ref))  # first index on ties
+
+    def test_zero_on_features_and_ties_go_first(self):
+        feats = [(HalfLine(0j), "upper"), (HalfLine(2j), "lower"),
+                 (HSegment(-1.0, 1.0, 0.0), "lower"), (HSegment(-1.0, 1.0, 2.0), "upper")]
+        arrays = FeatureArrays(feats)
+        x, y = np.array([-0.0, 0.0, 0.5, 0.5]), np.array([1.0, 1.0, 0.0, 2.0])
+        assert arrays.distances(x, y).tolist() == [1.0, 1.0, 0.0, 0.0]
+        assert arrays.nearest(x, y).tolist() == [0, 0, 2, 3]
 
 
 class TestRectWitness:

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from combslope.comb import (
     pseudo_strip,
     surgery,
 )
+from combslope import wos
 from combslope.errors import EstimationError
 from combslope.exact import strip_upper_measure
 from combslope.wos import (
@@ -177,6 +179,66 @@ class TestEstimator:
             dom, 0j, WosParams(walkers=10_000, seed=12, radius_cap=None)
         )
         assert abs(est.mean - 0.75) < max(0.015, 4 * est.stderr)
+
+
+README_WIDTHS = [432, 1152, 2592, 6912, 15552, 41472, 93312, 248832]
+
+
+@pytest.fixture(scope="module")
+def readme_comb():
+    plan = assign_widths(plan_forward(-math.pi / 4, math.pi / 6, 6.0, 4), README_WIDTHS)
+    return build_comb(plan)
+
+
+def _tally(domain, t, params):
+    est = estimate_upper_measure(domain, complex(t, 0.0), params)
+    return est.mean, est.stderr, est.walkers_used, est.lost
+
+
+class TestGoldenTallies:
+    """Fixed-seed tallies; a kernel that rounds differently moves them."""
+
+    def test_readme_comb_block_3_anchor(self, readme_comb):
+        got = _tally(readme_comb, 2880.0, WosParams(walkers=3_000, seed=42))
+        assert got == (0.7576666666666667, 0.00782321095392612, 3000, 0)
+
+    def test_sealed_surgery_segment_branch(self, readme_comb):
+        # just past the end of the sealing segment over block 1
+        sealed = surgery(readme_comb, SEAL_GAP, 1)
+        got = _tally(sealed, 1590.0, WosParams(walkers=3_000, seed=42))
+        assert got == (0.6946666666666667, 0.008408426108947478, 3000, 0)
+
+
+class TestChunks:
+    def test_chunk_size_never_changes_the_tally(self, readme_comb, monkeypatch):
+        # 1,003 walkers: a multiple of neither 7 nor 1000
+        p = WosParams(walkers=1_003, seed=42)
+        want = _tally(readme_comb, 2880.0, p)
+        for chunk in (1, 7, 1000):
+            monkeypatch.setattr(wos, "_CHUNK", chunk)
+            assert _tally(readme_comb, 2880.0, p) == want
+
+    def test_lost_walkers_add_up_across_chunks(self, monkeypatch):
+        dom = pseudo_strip(1.0, 3.0, 8.0)
+        p = WosParams(walkers=2_000, seed=1, max_steps=12)
+        want = _tally(dom, 0.0, p)
+        assert want[3] > 0
+        for chunk in (1, 7, 1000):
+            monkeypatch.setattr(wos, "_CHUNK", chunk)
+            assert _tally(dom, 0.0, p) == want
+
+    def test_memory_is_bounded_by_the_chunk(self, readme_comb, monkeypatch):
+        monkeypatch.setattr(wos, "_CHUNK", 1024)
+        peaks = []
+        for walkers in (4_096, 32_768):
+            p = WosParams(walkers=walkers, seed=42)
+            tracemalloc.start()
+            try:
+                estimate_upper_measure(readme_comb, 2880 + 0j, p)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 1.5 * peaks[0]
 
 
 class TestSurgeryOrdering:
