@@ -28,6 +28,7 @@ from .comb import (
     SEAL_GAP,
     DROP_TOOTH,
     SequencePlan,
+    _witness_dims,
     anchor_target,
     assign_widths,
     build_comb,
@@ -201,20 +202,6 @@ _CALIBRATION_FLOOR = 8.0       # smallest width, in strip heights
 _CALIBRATION_DOUBLINGS = 14
 
 
-def _calibration_dims(plan: SequencePlan, n: int) -> list[tuple[float, float]]:
-    r, rho = plan.upper_heights, plan.lower_depths
-    k = (n + 1) // 2
-    if plan.direction == comb_mod.FORWARD:
-        if n % 2 == 1:
-            return [(r[k - 1], rho[k - 1]), (r[k], rho[k - 1])]
-        return [(r[k], rho[k - 1]), (r[k], rho[k])]
-    if n <= 2:
-        return [(r[0], rho[0])]
-    if n % 2 == 1:
-        return [(r[k - 2], rho[k - 2]), (r[k - 1], rho[k - 2])]
-    return [(r[k - 1], rho[k - 2]), (r[k - 1], rho[k - 1])]
-
-
 def calibrate_widths(plan: SequencePlan, params: WosParams) -> SequencePlan:
     """Find a width schedule meeting the per-block 1/n tolerance targets.
 
@@ -238,7 +225,13 @@ def calibrate_widths(plan: SequencePlan, params: WosParams) -> SequencePlan:
     for n in range(1, plan.max_blocks + 1):
         tol = 1.0 / n
         best = 0.0
-        for cfg_i, (up, down) in enumerate(_calibration_dims(plan, n)):
+        # the witness proportions of anchors n and n + 1; a backward comb's
+        # first usable anchor is 3, so its blocks 1 and 2 take anchor 3's
+        if plan.direction == comb_mod.BACKWARD and n <= 2:
+            dims = [_witness_dims(plan, 3)]
+        else:
+            dims = [_witness_dims(plan, n), _witness_dims(plan, n + 1)]
+        for cfg_i, (up, down) in enumerate(dims):
             scale = up + down
             target = down / scale
             w = _CALIBRATION_FLOOR * scale

@@ -1,4 +1,5 @@
 import cmath
+import hashlib
 import math
 
 import numpy as np
@@ -6,15 +7,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from combslope.errors import DomainError, GridError
+from combslope import exact
+from combslope.errors import ConvergenceError, DomainError, GridError
 from combslope.exact import (
+    EXTERIOR,
+    INTERIOR,
+    ONE,
+    ZERO,
     GridProblem,
     disk_arc_measure,
     disk_problem,
     grid_laplace_measure,
-    grid_problem_to_text,
-    load_grid_problem,
     rectangle_problem,
+    solve_grid,
     square_problem,
     strip_problem,
     strip_upper_measure,
@@ -96,7 +101,75 @@ class TestDiskArcMeasure:
                     )
 
 
+def _l_shaped_problem() -> GridProblem:
+    # 21x21 box at spacing 0.05 with its upper-right quarter [11:, 11:]
+    # exterior, walled off by zero cells on row and column 10; the top row of
+    # the left arm is labeled one
+    labels = np.full((21, 21), INTERIOR, dtype=np.int8)
+    labels[11:, 11:] = EXTERIOR
+    labels[0, :] = ZERO
+    labels[:, 0] = ZERO
+    labels[:11, -1] = ZERO
+    labels[10, 10:] = ZERO
+    labels[10:, 10] = ZERO
+    labels[-1, :10] = ONE
+    return GridProblem(labels, 0.05, 0.25 + 0.25j)
+
+
+def _field_sha256(problem: GridProblem) -> str:
+    return hashlib.sha256(solve_grid(problem).tobytes()).hexdigest()
+
+
 class TestGridOracle:
+    # fields pinned bit for bit from the fancy-index red-black SOR solver the
+    # slice sweep replaced
+    def test_square_field_is_pinned(self):
+        p = square_problem(61, 0.5 + 0.5j)
+        assert _field_sha256(p) == (
+            "b1204534b94e019aa81157671b797f8184478470b9b3ee9ab2b5ac43b14571c3"
+        )
+        assert repr(grid_laplace_measure(p)) == "0.25000000015934026"
+
+    def test_l_shaped_field_with_exterior_is_pinned(self):
+        p = _l_shaped_problem()
+        assert _field_sha256(p) == (
+            "728a57074de05c43402a01edba7f995352004d24f8a769da2b896c01095ce24d"
+        )
+        assert repr(grid_laplace_measure(p)) == "0.013482247548782694"
+
+    def test_iteration_budget_raises(self, monkeypatch):
+        monkeypatch.setattr(exact, "_SOR_MAX_ITERATIONS", 5)
+        with pytest.raises(ConvergenceError):
+            solve_grid(square_problem(11, 0.5 + 0.5j), tol=1e-300)
+
+    def test_two_by_two_interior_exact_value(self):
+        labels = np.array(
+            [
+                [ZERO, ZERO, ZERO, ZERO],
+                [ZERO, INTERIOR, INTERIOR, ZERO],
+                [ZERO, INTERIOR, INTERIOR, ZERO],
+                [ONE, ONE, ONE, ONE],
+            ],
+            dtype=np.int8,
+        )
+        p = GridProblem(labels, 0.5, 0.5 + 0.5j)
+        assert p.shape == (4, 4)
+        # 2x2 interior, top row one: by symmetry u_low = a, u_high = c with
+        # 4a = c + a and 3c = 1 + a, so the bottom-center value is exactly 1/8
+        assert grid_laplace_measure(p) == pytest.approx(0.125, abs=1e-8)
+
+    def test_exterior_must_not_touch_interior(self):
+        labels = np.array(
+            [
+                [ZERO, ZERO, ZERO],
+                [ZERO, INTERIOR, EXTERIOR],
+                [ONE, ONE, ONE],
+            ],
+            dtype=np.int8,
+        )
+        with pytest.raises(GridError):
+            GridProblem(labels, 1.0, 1.0 + 1.0j)
+
     def test_square_center_quarter(self):
         p = square_problem(61, 0.5 + 0.5j)
         assert grid_laplace_measure(p) == pytest.approx(0.25, abs=1e-6)
@@ -161,58 +234,3 @@ class TestGridOracle:
             GridProblem(p.labels, p.spacing, 0j, p.origin)  # corner cell
         with pytest.raises(GridError):
             GridProblem(p.labels, p.spacing, complex(50, 50), p.origin)
-
-
-class TestGridFiles:
-    def test_round_trip(self):
-        p = square_problem(9, 0.5 + 0.5j)
-        text = grid_problem_to_text(p)
-        q = load_grid_problem(text)
-        assert np.array_equal(p.labels, q.labels)
-        assert q.spacing == p.spacing
-        assert q.eval_point == p.eval_point
-        assert q.origin == p.origin
-
-    def test_load_inline_text(self):
-        text = "\n".join(
-            [
-                "# spacing 0.5",
-                "# eval 0.5 0.5",
-                "1111",
-                "0..0",
-                "0..0",
-                "0000",
-            ]
-        )
-        p = load_grid_problem(text)
-        assert p.shape == (4, 4)
-        # 2x2 interior, top row one: by symmetry u_low = a, u_high = c with
-        # 4a = c + a and 3c = 1 + a, so the bottom-center value is exactly 1/8
-        assert grid_laplace_measure(p) == pytest.approx(0.125, abs=1e-8)
-
-    def test_exterior_padding_must_not_touch_interior(self):
-        text = "\n".join(
-            [
-                "# eval 1.0 1.0",
-                "111",
-                "0. ",
-                "000",
-            ]
-        )
-        with pytest.raises(GridError):
-            load_grid_problem(text)
-
-    def test_unknown_character(self):
-        with pytest.raises(GridError):
-            load_grid_problem("# eval 1 1\n111\n0?0\n000")
-
-    def test_missing_eval_point(self):
-        with pytest.raises(GridError):
-            load_grid_problem("111\n0.0\n000")
-
-    def test_file_source(self, tmp_path):
-        p = square_problem(9, 0.5 + 0.5j)
-        path = tmp_path / "grid.txt"
-        path.write_text(grid_problem_to_text(p))
-        q = load_grid_problem(path)
-        assert np.array_equal(p.labels, q.labels)
