@@ -4,9 +4,8 @@ The strip and disk-arc values are exact; the grid oracle is an independent
 brute-force check (5-point stencil, red-black successive over-relaxation,
 Dirichlet data 1 on cells labeled one and 0 on cells labeled zero).  Grid
 problems are built from a labels array, directly or by the builders below.
-Each SOR sweep works on whole shifted slices of the field through one
-buffer and two color masks.  The grid solver allocates private working
-memory per call, so concurrent use is unrestricted.
+Each SOR color sweeps two parity sublattices as strided views.  The solver
+allocates private working memory per call, so concurrent use is unrestricted.
 """
 
 from __future__ import annotations
@@ -98,27 +97,25 @@ class GridProblem:
             if bad.any():
                 i, j = np.argwhere(bad)[0]
                 raise GridError(f"interior cell ({i}, {j}) touches an unlabeled boundary")
-        ci, cj = self._cell_of(self.eval_point)
+        ci = int(round((self.eval_point.imag - self.origin.imag) / self.spacing))
+        cj = int(round((self.eval_point.real - self.origin.real) / self.spacing))
         if not (0 <= ci < labels.shape[0] and 0 <= cj < labels.shape[1]):
             raise GridError(f"evaluation point {self.eval_point} is off the grid")
         if labels[ci, cj] != INTERIOR:
             raise GridError(f"evaluation point {self.eval_point} is not strictly interior")
-
-    def _cell_of(self, p: complex) -> tuple[int, int]:
-        i = int(round((p.imag - self.origin.imag) / self.spacing))
-        j = int(round((p.real - self.origin.real) / self.spacing))
-        return i, j
 
     @property
     def shape(self) -> tuple[int, int]:
         return self.labels.shape
 
     def value_at(self, field_values: np.ndarray, p: complex) -> float:
-        """Bilinear interpolation of a solved field at an arbitrary point."""
+        """Bilinear interpolation of a solved field inside the rectangle of cell centers."""
         fi = (p.imag - self.origin.imag) / self.spacing
         fj = (p.real - self.origin.real) / self.spacing
-        i0 = min(max(int(math.floor(fi)), 0), self.labels.shape[0] - 2)
-        j0 = min(max(int(math.floor(fj)), 0), self.labels.shape[1] - 2)
+        rows, cols = self.labels.shape
+        if not (0.0 <= fi <= rows - 1 and 0.0 <= fj <= cols - 1):
+            raise GridError(f"point {p} lies outside the rectangle of cell centers")
+        i0, j0 = min(int(fi), rows - 2), min(int(fj), cols - 2)
         ti, tj = fi - i0, fj - j0
         corners = self.labels[i0 : i0 + 2, j0 : j0 + 2]
         if (corners == EXTERIOR).any():
@@ -135,13 +132,13 @@ class GridProblem:
 _SOR_MAX_ITERATIONS = 500_000
 
 
-def _mean_minus_inner(u: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``mean(neighbors) - u`` on ``u[1:-1, 1:-1]``, summed below, above, left, right."""
-    np.add(u[:-2, 1:-1], u[2:, 1:-1], out=out)
-    out += u[1:-1, :-2]
-    out += u[1:-1, 2:]
+def _mean_minus_center(center, below, above, left, right, out):
+    """``mean(neighbors) - center`` into ``out``, summed below, above, left, right."""
+    np.add(below, above, out=out)
+    out += left
+    out += right
     out *= 0.25
-    out -= u[1:-1, 1:-1]
+    out -= center
     return out
 
 
@@ -150,35 +147,38 @@ def solve_grid(problem: GridProblem, tol: float = 1e-10) -> np.ndarray:
 
     Red-black SOR on the 5-point stencil with the optimal relaxation factor
     for the grid's shorter side, iterated until the maximum residual
-    ``|mean(neighbors) - u|`` over interior cells drops below ``tol``
-    (checked every 32 sweeps).  Each color sweep sums the four shifted
-    slices of the field in one preallocated buffer and writes back through
-    the color's mask, so no index arrays are built.  Deterministic for a
-    given grid and tolerance.
+    ``|mean(neighbors) - u|`` over interior cells drops below ``tol``, a
+    positive finite number (checked every 32 sweeps).  Each color is two
+    parity sublattices of the inner cells, swept as strided views through
+    one scratch buffer and written back only where the cells are interior.
+    Deterministic for a given grid and tolerance.
     """
+    if not 0.0 < tol < math.inf:
+        raise GridError(f"tolerance must be positive and finite, got {tol}")
     labels = problem.labels
-    u = np.zeros(labels.shape, dtype=np.float64)
-    u[labels == ONE] = 1.0
-    n = max(3, min(labels.shape))
-    omega = 2.0 / (1.0 + math.sin(math.pi / n))
+    u = (labels == ONE).astype(np.float64)
+    omega = 2.0 / (1.0 + math.sin(math.pi / max(3, min(labels.shape))))
     # GridProblem keeps every interior cell off the outer ring, so the inner
-    # view holds every unknown and its four shifted neighbors stay on the grid.
-    inner = u[1:-1, 1:-1]
+    # view u[1:-1, 1:-1] holds every unknown and its neighbors stay on the grid.
     interior = labels[1:-1, 1:-1] == INTERIOR
-    even = np.zeros(interior.shape, dtype=bool)  # (i + j) even on the full grid
-    even[::2, ::2] = True
-    even[1::2, 1::2] = True
-    colors = (interior & even, interior & ~even)
-    buf = np.empty_like(inner)
-    check_every = 32
+    scratch = np.empty(u[1:-1:2, 1:-1:2].size)  # sublattice (0, 0) is the largest
+    subs = []  # (center, stencil, mask, out) per sublattice, first color first
+    for a, b in ((0, 0), (1, 1), (0, 1), (1, 0)):
+        rows, cols = slice(1 + a, -1, 2), slice(1 + b, -1, 2)
+        center = u[rows, cols]
+        stencil = (u[a:-2:2, cols], u[2 + a :: 2, cols], u[rows, b:-2:2], u[rows, 2 + b :: 2])
+        out = scratch[: center.size].reshape(center.shape)  # contiguous
+        subs.append((center, stencil, interior[a::2, b::2], out))
     for it in range(_SOR_MAX_ITERATIONS):
-        for mask in colors:
-            _mean_minus_inner(u, buf)
-            buf *= omega
-            np.add(inner, buf, out=inner, where=mask)
-        if it % check_every == 0 or it == _SOR_MAX_ITERATIONS - 1:
-            residual = np.abs(_mean_minus_inner(u, buf), out=buf)
-            if np.max(residual, where=interior, initial=0.0) < tol:
+        for center, stencil, mask, out in subs:
+            _mean_minus_center(center, *stencil, out)
+            out *= omega
+            np.add(center, out, out=center, where=mask)
+        if it % 32 == 0 or it == _SOR_MAX_ITERATIONS - 1:
+            if max(
+                np.max(np.abs(_mean_minus_center(c, *s, out), out=out), where=m, initial=0.0)
+                for c, s, m, out in subs
+            ) < tol:
                 return u
     raise ConvergenceError(
         f"SOR did not reach residual {tol} within {_SOR_MAX_ITERATIONS} iterations"

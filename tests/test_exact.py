@@ -116,6 +116,30 @@ def _l_shaped_problem() -> GridProblem:
     return GridProblem(labels, 0.05, 0.25 + 0.25j)
 
 
+def _one_cell_problem() -> GridProblem:
+    # a single interior cell: three of the four parity sublattices of the
+    # inner view are empty
+    labels = np.array(
+        [
+            [ZERO, ONE, ZERO],
+            [ZERO, INTERIOR, ONE],
+            [ZERO, ZERO, ZERO],
+        ],
+        dtype=np.int8,
+    )
+    return GridProblem(labels, 1.0, 1 + 1j)
+
+
+def _one_row_problem() -> GridProblem:
+    # 3x9 box with a single interior row: the inner view has one row
+    labels = np.full((3, 9), INTERIOR, dtype=np.int8)
+    labels[:, 0] = ZERO
+    labels[:, 8] = ZERO
+    labels[0, :] = ZERO
+    labels[2, :] = ONE
+    return GridProblem(labels, 1.0, 4 + 1j)
+
+
 def _field_sha256(problem: GridProblem) -> str:
     return hashlib.sha256(solve_grid(problem).tobytes()).hexdigest()
 
@@ -137,10 +161,55 @@ class TestGridOracle:
         )
         assert repr(grid_laplace_measure(p)) == "0.013482247548782694"
 
+    # fields pinned bit for bit from the slice sweep the sublattice sweep
+    # replaced: an even inner view, a mixed-parity one, and inner views with
+    # empty sublattices
+    @pytest.mark.parametrize(
+        "make, digest, value",
+        [
+            (
+                lambda: disk_problem(120, 0j),
+                "9a76d6ac46eee0bbc676daac3f2d7310877e124f71aa7ff94790286ab4607cb3",
+                "0.49999999996020417",
+            ),
+            (
+                lambda: rectangle_problem(3.0, 1.7, 31, 0.5 + 0.5j),
+                "d31b632a2fa21eb21a2b078766ee1daf9f15148916270707bebd432599af0787",
+                "0.13071770754261372",
+            ),
+            (
+                _one_cell_problem,
+                "f1f061445f41cfdc887b11561703f1cbe75363d2b6021b7ae71ac50f050bcf71",
+                "0.5",
+            ),
+            (
+                _one_row_problem,
+                "83539a8c457cb58bf39f3ff476ff8858e7758c6bb2120ef4b446b4756b255fe5",
+                "0.4948453608247423",
+            ),
+        ],
+        ids=["disk120", "rectangle31x54", "one_cell", "one_row"],
+    )
+    def test_field_is_pinned(self, make, digest, value):
+        p = make()
+        assert _field_sha256(p) == digest
+        assert repr(grid_laplace_measure(p)) == value
+
     def test_iteration_budget_raises(self, monkeypatch):
         monkeypatch.setattr(exact, "_SOR_MAX_ITERATIONS", 5)
         with pytest.raises(ConvergenceError):
             solve_grid(square_problem(11, 0.5 + 0.5j), tol=1e-300)
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan, math.inf])
+    def test_tolerance_must_be_positive_and_finite(self, monkeypatch, tol):
+        # a bad tolerance is rejected up front; with no iteration budget a
+        # solver that only meets it in the loop fails fast with the wrong error
+        monkeypatch.setattr(exact, "_SOR_MAX_ITERATIONS", 0)
+        p = square_problem(11, 0.5 + 0.5j)
+        with pytest.raises(GridError):
+            solve_grid(p, tol=tol)
+        with pytest.raises(GridError):
+            grid_laplace_measure(p, tol=tol)
 
     def test_two_by_two_interior_exact_value(self):
         labels = np.array(
@@ -227,6 +296,16 @@ class TestGridOracle:
         labels = np.zeros((4, 4), dtype=np.int8)  # all interior
         with pytest.raises(GridError):
             GridProblem(labels, 1.0, complex(1.5, 1.5))
+
+    def test_value_at_does_not_extrapolate(self):
+        p = square_problem(11, 0.5 + 0.5j)
+        u = solve_grid(p)
+        # the corners of the rectangle of cell centres stay legal
+        assert p.value_at(u, 1 + 1j) == 1.0
+        assert p.value_at(u, 0j) == 0.0
+        for off_grid in (1.5 + 0.5j, 0.5 + 3j, -0.01 + 0.5j, 0.5 - 0.01j):
+            with pytest.raises(GridError):
+                p.value_at(u, off_grid)
 
     def test_eval_point_must_be_interior(self):
         p = square_problem(11, 0.5 + 0.5j)
