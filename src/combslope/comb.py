@@ -474,9 +474,9 @@ def pseudo_strip(dist_up: float, dist_down: float, width: float) -> CombDomain:
 
 def boundary_distance(domain, p: complex) -> tuple[float, int]:
     """Distance from ``p`` to the domain boundary and the nearest feature index."""
-    feats = FeatureArrays(domain.features())
-    x, y = np.array([p.real]), np.array([p.imag])
-    return float(feats.distances(x, y)[0]), int(feats.nearest(x, y)[0])
+    x, y, index = np.array([p.real]), np.array([p.imag]), np.zeros(1, dtype=np.intp)
+    d = FeatureArrays(domain.features()).distances(x, y, np.empty(1), index)
+    return float(d[0]), int(index[0])
 
 
 def usable_anchor_indices(plan: SequencePlan) -> tuple[int, ...]:

@@ -1,8 +1,9 @@
 """Closed-form harmonic-measure oracles and a finite-difference Laplace oracle.
 
-The strip and disk-arc values are exact; the grid oracle is an independent
-brute-force check (5-point stencil, red-black successive over-relaxation,
-Dirichlet data 1 on cells labeled one and 0 on cells labeled zero).  Grid
+The strip, two-tooth and disk-arc values are exact; the grid oracle is an
+independent brute-force check (5-point stencil, red-black successive
+over-relaxation, Dirichlet data 1 on cells labeled one and 0 on cells
+labeled zero).  Grid
 problems are built from a labels array, directly or by the builders below.
 Each SOR color sweeps two parity sublattices as strided views.  The solver
 allocates private working memory per call, so concurrent use is unrestricted.
@@ -10,13 +11,14 @@ allocates private working memory per call, so concurrent use is unrestricted.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, GridError
-from .geometry import BoundaryArc, mobius_to_zero
+from .geometry import BoundaryArc, mobius_to_zero, require_finite
 
 __all__ = [
     "GridProblem",
@@ -27,6 +29,7 @@ __all__ = [
     "disk_arc_measure",
     "disk_problem",
     "grid_laplace_measure",
+    "pseudo_strip_upper_measure",
     "rectangle_problem",
     "solve_grid",
     "square_problem",
@@ -49,6 +52,44 @@ def strip_upper_measure(dist_up: float, dist_down: float) -> float:
     if not (dist_up > 0.0 and dist_down > 0.0):
         raise DomainError(f"strip distances must be positive, got {dist_up}, {dist_down}")
     return dist_down / (dist_up + dist_down)
+
+
+_NEWTON_STEPS = 50
+
+
+def pseudo_strip_upper_measure(
+    dist_up: float, dist_down: float, width: float, z: complex
+) -> float:
+    """Harmonic measure of the upper tooth of ``pseudo_strip(up, down, width)`` at ``z``.
+
+    The Schwarz-Christoffel map ``f(w) = -(H/pi)(w^2/2 - log w)``, with
+    ``H = up + down``, sends the upper half-plane onto the plane minus two
+    leftward half-lines at heights 0 and H with tips at ``Re = -H/(2 pi)``;
+    the negative real axis goes onto the upper one.  So the measure is
+    ``arg f^-1(z') / pi`` with ``z' = z - width/2 - H/(2 pi) + i down``.
+    Newton's method inverts ``f`` from the channel asymptote
+    ``w0 = exp(pi z' / H)`` (Driscoll & Trefethen, *Schwarz-Christoffel
+    Mapping*, 2002).
+    """
+    if not (dist_up > 0.0 and dist_down > 0.0 and width > 0.0):
+        raise DomainError(
+            f"pseudo-strip needs positive distances and width, got {dist_up}, {dist_down}, {width}"
+        )
+    require_finite(z)
+    h = dist_up + dist_down
+    target = z - width / 2.0 - h / _TWO_PI + 1j * dist_down
+    c = -h / math.pi
+    w = cmath.exp(math.pi * target / h)
+    for _ in range(_NEWTON_STEPS):
+        step = (c * (w * w / 2.0 - cmath.log(w)) - target) / (c * (w - 1.0 / w))
+        w -= step
+        if abs(step) <= 1e-15 * abs(w):
+            break
+    else:
+        raise ConvergenceError(f"Newton did not invert the two-tooth map at {z}")
+    if not w.imag > 0.0:
+        raise DomainError(f"{z} is not interior to pseudo_strip({dist_up}, {dist_down}, {width})")
+    return cmath.phase(w) / math.pi
 
 
 def disk_arc_measure(z: complex, arc: BoundaryArc) -> float:

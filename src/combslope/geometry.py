@@ -56,6 +56,7 @@ __all__ = [
 
 _UNIT_TOL = 1e-9
 _TWO_PI = 2.0 * math.pi
+_ZERO = np.array(0.0)
 
 
 def require_finite(z: complex) -> complex:
@@ -110,7 +111,7 @@ class FeatureArrays:
     ``features`` holds ``(geometry, label)`` pairs, each geometry a
     :class:`HalfLine` or an :class:`HSegment` and each label ``"upper"`` or
     ``"lower"``; every half-line comes before any segment, so index ``i``
-    from :meth:`nearest` and ``is_upper[i]`` belong to feature ``i``.
+    from :meth:`distances` and ``is_upper[i]`` belong to feature ``i``.
     Coordinates are stored as ``(z - origin) / scale``.
     """
 
@@ -127,9 +128,14 @@ class FeatureArrays:
             else:
                 raise DomainError(f"expected half-lines, then segments; got {type(geom)!r}")
             upper.append(label == "upper")
-        self.halflines = list(zip(hx, hy))
-        self.segments = list(zip(sx0, sx1, sy))
+        # 0-d arrays: numpy broadcasts them faster than Python floats
+        self.halflines = [tuple(map(np.array, h)) for h in zip(hx, hy)]
+        self.segments = [tuple(map(np.array, g)) for g in zip(sx0, sx1, sy)]
         self.is_upper = np.asarray(upper, dtype=bool)
+        # each feature as a piece of the line Im = wall_y, from x_lo to x_hi
+        self.x_lo = np.asarray([-np.inf] * len(hx) + sx0, dtype=float)
+        self.x_hi = np.asarray(hx + sx1, dtype=float)
+        self.wall_y = np.asarray(hy + sy, dtype=float)
 
     def _each(self, x: np.ndarray, y: np.ndarray):
         """Yield the points' distances to each closed feature in turn, 0
@@ -140,7 +146,7 @@ class FeatureArrays:
         for hx, hy in self.halflines:
             # hypot(+-0, dy) == |dy|: straight above or below the ray
             np.subtract(x, hx, out=dx)
-            np.maximum(dx, 0.0, out=dx)
+            np.maximum(dx, _ZERO, out=dx)
             np.subtract(y, hy, out=d)
             yield np.hypot(dx, d, out=d)
         for x0, x1, sy in self.segments:
@@ -149,24 +155,51 @@ class FeatureArrays:
             np.subtract(y, sy, out=d)
             yield np.hypot(dx, d, out=d)
 
-    def distances(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    def distances(
+        self,
+        x: np.ndarray,
+        y: np.ndarray,
+        second: np.ndarray | None = None,
+        index: np.ndarray | None = None,
+    ) -> np.ndarray:
         """Each point's distance to its nearest feature: a running minimum
         over the features, one pass each, with no features-by-points
-        matrix."""
-        out = np.full_like(x, np.inf)
-        for d in self._each(x, y):
-            np.minimum(out, d, out=out)
-        return out
+        matrix.
 
-    def nearest(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Index of each point's nearest feature, the first one on ties."""
-        best = np.full_like(x, np.inf)
-        idx = np.zeros(x.shape, dtype=np.intp)
+        Given caller-owned ``second`` (float) and ``index`` (intp) arrays of
+        the points' shape, the same pass also fills them with each point's
+        second-smallest feature distance (``inf`` with one feature; equal to
+        the nearest on ties) and the index of its nearest feature, the first
+        one on ties.
+        """
+        near = np.full_like(x, np.inf)
+        if second is None:
+            for d in self._each(x, y):
+                np.minimum(near, d, out=near)
+            return near
+        closer = np.empty(x.shape, dtype=bool)
+        second.fill(np.inf)
+        index.fill(0)
         for i, d in enumerate(self._each(x, y)):
-            closer = d < best
-            np.copyto(best, d, where=closer)
-            idx[closer] = i
-        return idx
+            if not i:  # the first feature only sets the minimum
+                np.copyto(near, d)
+                continue
+            np.less(d, near, out=closer)
+            np.copyto(index, i, where=closer)
+            # the old minimum is the new second where d takes its place
+            np.minimum(second, d, out=second)
+            np.copyto(second, near, where=closer)
+            np.copyto(near, d, where=closer)
+        return near
+
+    def end_distance(self, x: np.ndarray, index: np.ndarray) -> np.ndarray:
+        """Distance along the wall from abscissa ``x`` to the nearer end of
+        feature ``index``: positive where ``x`` lies strictly inside it."""
+        out = self.x_hi[index]
+        out -= x
+        lo = self.x_lo[index]
+        np.subtract(x, lo, out=lo)
+        return np.minimum(out, lo, out=out)
 
 
 @dataclass(frozen=True)

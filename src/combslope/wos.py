@@ -10,6 +10,17 @@ counted as lost and excluded from the mean, with the lost fraction reported
 so callers can bound the induced bias (lost walks could have hit either
 class).
 
+Half-disk steps: near a flat wall a circle step only halves the distance
+to it on average, so a walker would spend most of its steps creeping into
+the shell.  A walker close to the inside of its nearest feature (a
+half-line or segment) instead leaves the half-disk of radius ``R`` on the
+feature, clear of every other feature, in one exact step: absorbed on the
+feature with probability ``1 - 4 atan(d/R) / pi``, else onto the half-disk's
+arc by the Cauchy exit law of the map ``((R + z)/(R - z))^2`` onto the
+upper half-plane (Muller 1956; Sabelfeld 1991).  It draws the same one
+angle per step, so ``walker_steps`` counts angle draws either way.  The
+shell still absorbs walkers that reach a tip or a segment's end.
+
 Reproducibility: angle draws come from a counter-based stream, one value
 per (seed, walker index, step index), so results are bit-identical for a
 fixed seed regardless of batching, merge order, or how many walkers are
@@ -18,9 +29,10 @@ stream algorithm is named by ``RNG_ALGORITHM`` and frozen; changing it is a
 breaking change for stored fixtures.
 
 Memory: walkers run in chunks of ``_CHUNK`` with their global ids, and the
-distance kernel keeps one running minimum per point instead of a
-features-by-walkers matrix.  An estimate is bit-identical for any chunk
-size, and its memory is bounded by the chunk, not by the walker count.
+distance kernel keeps a running minimum, second minimum and nearest index
+per point instead of a features-by-walkers matrix.  An estimate is
+bit-identical for any chunk size, and its memory is bounded by the chunk,
+not by the walker count.
 """
 
 from __future__ import annotations
@@ -34,6 +46,7 @@ import numpy as np
 from .comb import boundary_distance
 from .errors import EstimationError
 from .geometry import FeatureArrays as _FeatureArrays
+from .geometry import require_finite
 
 __all__ = [
     "RNG_ALGORITHM",
@@ -75,24 +88,29 @@ def derive_seed(seed: int, index: int) -> int:
     return _mix64((seed + (index + 1) * _GAMMA) & _MASK)
 
 
-_U64 = (
-    np.uint64(0xBF58476D1CE4E5B9),
-    np.uint64(0x94D049BB133111EB),
-    np.uint64(30),
-    np.uint64(27),
-    np.uint64(31),
+# 0-d arrays: numpy broadcasts them faster than scalars
+_U64 = tuple(
+    np.array(c, dtype=np.uint64)
+    for c in (_GAMMA, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB, 30, 27, 31, 11)
 )
+_ANGLE_UNIT = np.array(2.0 * np.pi / 9007199254740992.0)
+_THREE = np.array(3.0)
 
 
 def _uniform_angles(seed_mixed: int, walker_ids: np.ndarray, step: int) -> np.ndarray:
     """One uniform [0, 2*pi) angle per walker for this step (vectorized)."""
-    key = np.uint64(_mix64(seed_mixed + (step + 1) * _STEP_SALT))
-    x = (walker_ids + np.uint64(1)) * np.uint64(_GAMMA) + key
-    c1, c2, s30, s27, s31 = _U64
-    x = (x ^ (x >> s30)) * c1
-    x = (x ^ (x >> s27)) * c2
+    key = _mix64(seed_mixed + (step + 1) * _STEP_SALT)
+    gamma, c1, c2, s30, s27, s31, s11 = _U64
+    # (id + 1) * gamma + key, with the constant terms folded mod 2**64
+    x = walker_ids * gamma
+    x += np.array((_GAMMA + key) & _MASK, dtype=np.uint64)
+    x ^= x >> s30
+    x *= c1
+    x ^= x >> s27
+    x *= c2
     x ^= x >> s31
-    return (x >> np.uint64(11)).astype(np.float64) * (2.0 * np.pi / 9007199254740992.0)
+    x >>= s11
+    return x * _ANGLE_UNIT
 
 
 @dataclass(frozen=True)
@@ -125,8 +143,9 @@ class MeasureEstimate:
 
     ``stderr`` is ``sqrt(mean * (1 - mean) / walkers_used)``; ``valid``
     records whether the lost fraction stayed under the configured threshold.
-    ``elapsed`` (seconds) is informational only and never serialized, so
-    file artifacts stay byte-reproducible.
+    ``elapsed`` (seconds) and ``walker_steps`` (angle draws, one per active
+    walker per step) are informational only and never serialized, so file
+    artifacts stay byte-reproducible.
     """
 
     mean: float
@@ -135,6 +154,7 @@ class MeasureEstimate:
     lost: int
     elapsed: float
     valid: bool
+    walker_steps: int = 0
 
     @property
     def lost_fraction(self) -> float:
@@ -161,12 +181,13 @@ def estimate_upper_measure(
 ) -> MeasureEstimate:
     """Estimate the harmonic measure of the boundary features labeled "upper".
 
-    The start point must be strictly interior with boundary distance above
-    the epsilon shell; an estimate with every walker lost raises
-    :class:`EstimationError` with diagnostics.  Deterministic for a fixed
-    (seed, walkers, domain, params).
+    The start point must be finite (else :class:`DomainError`) and strictly
+    interior with boundary distance above the epsilon shell; an estimate
+    with every walker lost raises :class:`EstimationError` with
+    diagnostics.  Deterministic for a fixed (seed, walkers, domain, params).
     """
     t0 = time.perf_counter()
+    require_finite(point)
     d0, _ = boundary_distance(domain, point)
     if not d0 > 0.0:
         raise EstimationError(f"start point {point} lies on the domain boundary")
@@ -180,13 +201,12 @@ def estimate_upper_measure(
     seed_mixed = _mix64(params.seed)
 
     n = params.walkers
-    upper_hits = 0
-    absorbed = 0
+    upper_hits = absorbed = steps = 0
     for lo in range(0, n, _CHUNK):
-        ids = np.arange(lo, min(lo + _CHUNK, n), dtype=np.uint64)
-        hits, done = _walk(feats, ids, seed_mixed, params)
+        hits, done, taken = _walk(feats, slice(lo, min(lo + _CHUNK, n)), seed_mixed, params)
         upper_hits += hits
         absorbed += done
+        steps += taken
 
     lost = n - absorbed
     elapsed = time.perf_counter() - t0
@@ -198,33 +218,133 @@ def estimate_upper_measure(
     mean = upper_hits / absorbed
     stderr = float(np.sqrt(mean * (1.0 - mean) / absorbed))
     valid = lost / n <= params.max_lost_fraction
-    return MeasureEstimate(mean, stderr, absorbed, lost, elapsed, valid)
+    return MeasureEstimate(mean, stderr, absorbed, lost, elapsed, valid, steps)
 
 
-def _walk(feats: _FeatureArrays, ids: np.ndarray, seed_mixed: int, params: WosParams):
-    """Walk the walkers ``ids`` from the origin until each is absorbed or
-    out of steps; returns ``(upper hits, absorbed)``."""
-    eps = params.epsilon_shell
-    cap = params.radius_cap
+def _walk(feats: _FeatureArrays, chunk: slice, seed_mixed: int, params: WosParams):
+    """Walk the walkers with global ids in ``chunk`` from the origin until
+    each is absorbed or out of steps; returns ``(upper hits, absorbed,
+    walker-steps)``.  Only this frame holds the ids, so they shrink with
+    the active walkers."""
+    ids = np.arange(chunk.start, chunk.stop, dtype=np.uint64)
+    eps = np.array(params.epsilon_shell)
+    cap = np.array(np.inf if params.radius_cap is None else params.radius_cap)
     x = np.zeros(ids.size)
     y = np.zeros(ids.size)
-    upper_hits = 0
-    absorbed = 0
+    second_buf = np.empty(ids.size)
+    index_buf = np.empty(ids.size, dtype=np.intp)
+    upper_hits = absorbed = steps = 0
     for step in range(params.max_steps):
-        dmin = feats.distances(x, y)
-        hit = dmin <= eps
+        second, index = second_buf[: ids.size], index_buf[: ids.size]
+        near = feats.distances(x, y, second, index)
+        hit = near <= eps
         if hit.any():
-            upper_hits += int(feats.is_upper[feats.nearest(x[hit], y[hit])].sum())
-            absorbed += int(hit.sum())
+            upper_hits += int(np.count_nonzero(feats.is_upper[index[hit]]))
+            absorbed += int(np.count_nonzero(hit))
             keep = ~hit
-            x, y, ids, dmin = x[keep], y[keep], ids[keep], dmin[keep]
-            if x.size == 0:
+            x = x[keep]
+            y = y[keep]
+            ids = ids[keep]
+            near = near[keep]
+            second[: ids.size] = second[keep]
+            index[: ids.size] = index[keep]
+            second, index = second[: ids.size], index[: ids.size]
+            del hit, keep
+            if ids.size == 0:
                 break
-        r = dmin if cap is None else np.minimum(dmin, cap)
+        # only a walker with d2 > 3 d can own a half-disk of radius R > 2 d
+        ratio = np.divide(second, near)
+        near_wall = ratio > _THREE if ratio.max() > 3.0 else None
+        del ratio
         theta = _uniform_angles(seed_mixed, ids, step)
-        x += r * np.cos(theta)
-        y += r * np.sin(theta)
-    return upper_hits, absorbed
+        steps += ids.size
+        if near_wall is not None:
+            _half_disk_steps(feats, x, y, near, second, index, theta, cap, near_wall)
+        # the plain step, of radius min(d, cap)
+        np.minimum(near, cap, out=near)
+        move = np.cos(theta)
+        move *= near
+        x += move
+        np.sin(theta, out=move)
+        move *= near
+        y += move
+        del theta, move  # before the next kernel pass allocates
+    return upper_hits, absorbed, steps
+
+
+def _half_disk_steps(feats, x, y, near, second, index, theta, cap, candidates):
+    """Exact exit from the half-disk at the wall, for those walkers of the
+    mask ``candidates`` that qualify; returns the indices of the walkers
+    that stepped and their radii.
+
+    A walker at distance ``d`` from its nearest feature, whose foot point
+    ``p`` lies strictly inside it, owns the half-disk of radius
+    ``R = min(end distance of p, d2 - d, cap)`` around ``p`` on its side:
+    every other feature is at least ``d + R`` from the walker.  Where
+    ``d < R/2`` the walker leaves that half-disk in one step.  With
+    ``phi = 4 atan(d/R)`` and the walker's uniform ``U = theta / 2 pi``,
+    ``s = cos phi + sin phi tan(pi (U - 1/2))`` is its Cauchy exit point on
+    the real axis of ``((R + zeta)/(R - zeta))^2``.  If ``s > 0`` it leaves
+    through the diameter: it moves onto ``p``, where the next kernel pass
+    absorbs it on this feature.  Otherwise it moves to the arc point
+    ``zeta = R (w - 1)/(w + 1)``, ``w = i sqrt(-s)``, measured from ``p``
+    along and away from the wall.  Stepping walkers get ``near = 0``, so
+    the plain step leaves them where this one put them.
+
+    Temporaries are made in place where they can be: at the first steps of
+    a chunk about half of its walkers step here.
+    """
+    j = np.flatnonzero(candidates)
+    radius = feats.end_distance(x[j], index[j])
+    gap = second[j]
+    d = near[j]
+    gap -= d
+    np.minimum(radius, gap, out=radius)
+    np.minimum(radius, cap, out=radius)
+    del gap
+    ok = d + d < radius
+    j = j[ok]
+    radius = radius[ok]
+    phi = d[ok]
+    del d, ok
+    phi /= radius
+    np.arctan(phi, out=phi)
+    phi *= 4.0
+    slope = theta[j]
+    slope /= 2.0 * np.pi
+    slope -= 0.5
+    slope *= np.pi
+    np.tan(slope, out=slope)
+    s = np.sin(phi)
+    s *= slope
+    np.cos(phi, out=phi)
+    s += phi
+    del phi, slope
+    # with w = i sqrt(q), q = -s: zeta = R (q - 1)/(q + 1) + i 2 R sqrt(q)/(q + 1);
+    # q = 0 and along = 0 put the walkers that leave through the diameter on p
+    q = np.negative(s)
+    np.maximum(q, 0.0, out=q)
+    den = q + 1.0
+    along = q - 1.0
+    along /= den
+    along *= radius
+    along[s > 0.0] = 0.0
+    del s
+    away = np.sqrt(q, out=q)
+    away *= 2.0
+    away *= radius
+    away /= den
+    del den
+    wall = feats.wall_y[index[j]]
+    side = y[j]
+    side -= wall
+    np.copysign(away, side, out=away)
+    away += wall
+    del side, wall
+    y[j] = away
+    x[j] += along
+    near[j] = 0.0
+    return j, radius
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,7 @@ from combslope.exact import (
     disk_arc_measure,
     disk_problem,
     grid_laplace_measure,
+    pseudo_strip_upper_measure,
     rectangle_problem,
     solve_grid,
     square_problem,
@@ -44,6 +45,30 @@ class TestStripMeasure:
             strip_upper_measure(0, 1)
         with pytest.raises(DomainError):
             strip_upper_measure(1, -2)
+
+
+class TestPseudoStripMeasure:
+    @pytest.mark.parametrize(
+        "width, want",
+        [(1.0, 0.724334), (2.0, 0.737933), (4.0, 0.747471), (8.0, 0.749891), (16.0, 0.750000)],
+    )
+    def test_origin_of_one_three_pair(self, width, want):
+        assert pseudo_strip_upper_measure(1.0, 3.0, width, 0j) == pytest.approx(want, abs=5e-7)
+
+    def test_deep_in_the_channel_is_the_strip_value(self):
+        assert pseudo_strip_upper_measure(2.0, 1.0, 4.0, -40 + 0.5j) == pytest.approx(
+            strip_upper_measure(1.5, 1.5), abs=1e-12
+        )
+
+    def test_boundary_values_near_each_tooth(self):
+        assert pseudo_strip_upper_measure(1.0, 3.0, 8.0, -10 + 0.999999j) > 0.999
+        assert pseudo_strip_upper_measure(1.0, 3.0, 8.0, -10 - 2.999999j) < 0.001
+
+    def test_rejects_bad_input(self):
+        with pytest.raises(DomainError):
+            pseudo_strip_upper_measure(0.0, 3.0, 8.0, 0j)
+        with pytest.raises(DomainError):
+            pseudo_strip_upper_measure(1.0, 3.0, 8.0, complex(math.nan, 0.0))
 
 
 class TestDiskArcMeasure:

@@ -129,20 +129,35 @@ class TestKernel:
         x = np.array([p.real for p in pts])
         y = np.array([p.imag for p in pts])
         arrays = FeatureArrays(feats)
-        dist, near = arrays.distances(x, y), arrays.nearest(x, y)
-        assert dist.shape == near.shape == x.shape
+        second, index = np.empty_like(x), np.empty(x.shape, dtype=np.intp)
+        dist = arrays.distances(x, y)
+        assert dist.shape == x.shape
+        assert arrays.distances(x, y, second, index).tolist() == dist.tolist()
         for k, p in enumerate(pts):
             ref = [_reference(p, geom) for geom, _ in feats]
             assert dist[k] == min(ref)  # bit for bit
-            assert near[k] == ref.index(min(ref))  # first index on ties
+            assert index[k] == ref.index(min(ref))  # first index on ties
+            assert second[k] == sorted(ref + [math.inf])[1]  # equal to min on ties
 
     def test_zero_on_features_and_ties_go_first(self):
         feats = [(HalfLine(0j), "upper"), (HalfLine(2j), "lower"),
                  (HSegment(-1.0, 1.0, 0.0), "lower"), (HSegment(-1.0, 1.0, 2.0), "upper")]
         arrays = FeatureArrays(feats)
         x, y = np.array([-0.0, 0.0, 0.5, 0.5]), np.array([1.0, 1.0, 0.0, 2.0])
+        second, index = np.empty_like(x), np.empty(x.shape, dtype=np.intp)
         assert arrays.distances(x, y).tolist() == [1.0, 1.0, 0.0, 0.0]
-        assert arrays.nearest(x, y).tolist() == [0, 0, 2, 3]
+        assert arrays.distances(x, y, second, index).tolist() == [1.0, 1.0, 0.0, 0.0]
+        assert index.tolist() == [0, 0, 2, 3]
+        assert second.tolist() == [1.0, 1.0, 0.5, 0.5]
+
+    def test_end_distance_along_the_wall(self):
+        feats = [(HalfLine(1 + 2j), "upper"), (HSegment(-1.0, 3.0, 0.0), "lower")]
+        arrays = FeatureArrays(feats)
+        x = np.array([-5.0, 1.0, 0.0, 2.5, 4.0])
+        assert arrays.end_distance(x, np.zeros(5, dtype=np.intp)).tolist() == [
+            6.0, 0.0, 1.0, -1.5, -3.0]
+        assert arrays.end_distance(x, np.ones(5, dtype=np.intp)).tolist() == [
+            -4.0, 2.0, 1.0, 0.5, -1.0]
 
 
 class TestRectWitness:

@@ -17,8 +17,9 @@ from combslope.comb import (
     surgery,
 )
 from combslope import wos
-from combslope.errors import EstimationError
-from combslope.exact import strip_upper_measure
+from combslope.errors import DomainError, EstimationError
+from combslope.geometry import HalfLine
+from combslope.exact import pseudo_strip_upper_measure, strip_upper_measure
 from combslope.wos import (
     RNG_ALGORITHM,
     MeasureEstimate,
@@ -150,6 +151,11 @@ class TestEstimator:
         with pytest.raises(EstimationError):
             estimate_upper_measure(dom, 3 + 1j, WosParams(walkers=10, seed=0))
 
+    @pytest.mark.parametrize("point", [complex(math.nan, 0.0), complex(math.inf, 0.0)])
+    def test_non_finite_start_point_is_a_domain_error(self, point):
+        with pytest.raises(DomainError, match="non-finite"):
+            estimate_upper_measure(pseudo_strip(1.0, 3.0, 8.0), point, WosParams(walkers=10))
+
     def test_lost_walkers_reported_not_dropped(self):
         dom = pseudo_strip(1.0, 3.0, 8.0)
         p = WosParams(walkers=2_000, seed=1, max_steps=12, max_lost_fraction=1e-3)
@@ -172,6 +178,16 @@ class TestEstimator:
             if abs(est.mean - 0.5) < 4 * est.stderr:
                 hits += 1
         assert hits >= 19
+
+    @pytest.mark.parametrize("width", [1.0, 2.0, 4.0, 8.0, 16.0])
+    def test_two_tooth_oracle_within_three_sigma(self, width):
+        # the short widths put the start point near the tips
+        est = estimate_upper_measure(
+            pseudo_strip(1.0, 3.0, width), 0j, WosParams(walkers=20_000, seed=42)
+        )
+        exact = pseudo_strip_upper_measure(1.0, 3.0, width, 0j)
+        assert est.valid
+        assert abs(est.mean - exact) <= 3.0 * est.stderr
 
     def test_uncapped_radius_matches_physics(self):
         dom = pseudo_strip(1.0, 3.0, 32.0)
@@ -200,13 +216,81 @@ class TestGoldenTallies:
 
     def test_readme_comb_block_3_anchor(self, readme_comb):
         got = _tally(readme_comb, 2880.0, WosParams(walkers=3_000, seed=42))
-        assert got == (0.7576666666666667, 0.00782321095392612, 3000, 0)
+        assert got == (0.758, 0.007819548154038911, 3000, 0)
 
     def test_sealed_surgery_segment_branch(self, readme_comb):
         # just past the end of the sealing segment over block 1
         sealed = surgery(readme_comb, SEAL_GAP, 1)
         got = _tally(sealed, 1590.0, WosParams(walkers=3_000, seed=42))
-        assert got == (0.6946666666666667, 0.008408426108947478, 3000, 0)
+        assert got == (0.694, 0.008413560482934679, 3000, 0)
+
+    def test_readme_comb_block_3_anchor_walker_steps(self, readme_comb):
+        est = estimate_upper_measure(readme_comb, 2880 + 0j, WosParams(walkers=3_000, seed=42))
+        assert est.walker_steps == 10_544
+
+
+def _foot_clearance(p: complex, geom) -> float:
+    """Distance from ``p`` to one closed feature, in plain Python."""
+    x_lo, x_hi, y = (
+        (-math.inf, geom.anchor.real, geom.anchor.imag)
+        if isinstance(geom, HalfLine)
+        else (geom.x_lo, geom.x_hi, geom.y)
+    )
+    return math.hypot(p.real - min(max(p.real, x_lo), x_hi), p.imag - y)
+
+
+class TestHalfDiskStep:
+    """The exact wall step: where it may be taken, and its exit law."""
+
+    def test_half_disk_is_clear_of_every_other_feature(self, readme_comb):
+        sealed = surgery(readme_comb, SEAL_GAP, 1)
+        geoms = [g for g, _ in sealed.features()]
+        feats = wos._FeatureArrays(sealed.features())
+        rng = np.random.default_rng(5)
+        # points just off each feature, from deep in its wall to past its end
+        k = rng.integers(0, len(geoms), 4_000)
+        lo = np.maximum(feats.x_lo[k], feats.x_hi[k] - 10.0 ** rng.uniform(-3, 4, k.size))
+        x = rng.uniform(lo - 5.0, feats.x_hi[k] + 5.0)
+        y = feats.wall_y[k] + rng.choice([-1, 1], k.size) * 10.0 ** rng.uniform(-4, 1.5, k.size)
+        second, index = np.empty_like(x), np.empty(x.shape, dtype=np.intp)
+        near = feats.distances(x, y, second, index)
+        theta = _uniform_angles(_mix64(5), np.arange(x.size, dtype=np.uint64), 0)
+        d, d2 = near.copy(), second.copy()
+        j, radius = wos._half_disk_steps(
+            feats, x.copy(), y.copy(), near, second, index, theta, np.array(1e3),
+            np.ones(x.size, dtype=bool),
+        )
+        assert 500 < j.size < x.size
+        for w, r in zip(j.tolist(), radius.tolist()):
+            f = index[w]
+            foot = complex(x[w], feats.wall_y[f])
+            assert 2 * d[w] < r <= d2[w] - d[w]
+            assert r <= min(x[w] - feats.x_lo[f], feats.x_hi[f] - x[w])
+            # the triangle inequality, up to the rounding of d2 - d
+            others = [_foot_clearance(foot, g) for i, g in enumerate(geoms) if i != f]
+            assert min(others) >= r * (1.0 - 1e-12)
+        assert (near[j] == 0.0).all()
+
+    @pytest.mark.parametrize("side", [1.0, -1.0])
+    def test_exit_law_at_fixed_depth_and_radius(self, side):
+        d, radius, n = 0.3, 1.0, 200_000
+        # one half-line along Im = 0 ending at x = 0; walkers at x = -R
+        feats = wos._FeatureArrays([(HalfLine(0j), "upper")])
+        x0, y0 = np.full(n, -radius), np.full(n, side * d)
+        x, y, near = x0.copy(), y0.copy(), np.full(n, d)
+        theta = _uniform_angles(_mix64(17), np.arange(n, dtype=np.uint64), 0)
+        j, got = wos._half_disk_steps(
+            feats, x, y, near, np.full(n, np.inf), np.zeros(n, dtype=np.intp), theta,
+            np.array(np.inf), np.ones(n, dtype=bool),
+        )
+        assert j.size == n and (got == radius).all()
+        on_wall = y == 0.0
+        assert (x[on_wall] == x0[on_wall]).all()
+        p = 1.0 - 4.0 * math.atan(d / radius) / math.pi
+        assert abs(on_wall.mean() - p) <= 3.0 * math.sqrt(p * (1.0 - p) / n)
+        zeta = (x - x0)[~on_wall] + 1j * np.abs(y[~on_wall])
+        assert np.abs(np.abs(zeta) - radius).max() <= 1e-12
+        assert (np.sign(y[~on_wall]) == side).all()
 
 
 class TestChunks:
