@@ -156,27 +156,19 @@ class FeatureArrays:
             yield np.hypot(dx, d, out=d)
 
     def distances(
-        self,
-        x: np.ndarray,
-        y: np.ndarray,
-        second: np.ndarray | None = None,
-        index: np.ndarray | None = None,
+        self, x: np.ndarray, y: np.ndarray, second: np.ndarray, index: np.ndarray
     ) -> np.ndarray:
         """Each point's distance to its nearest feature: a running minimum
         over the features, one pass each, with no features-by-points
         matrix.
 
-        Given caller-owned ``second`` (float) and ``index`` (intp) arrays of
-        the points' shape, the same pass also fills them with each point's
+        The same pass fills the caller-owned ``second`` (float) and
+        ``index`` (integer) arrays of the points' shape with each point's
         second-smallest feature distance (``inf`` with one feature; equal to
         the nearest on ties) and the index of its nearest feature, the first
         one on ties.
         """
         near = np.full_like(x, np.inf)
-        if second is None:
-            for d in self._each(x, y):
-                np.minimum(near, d, out=near)
-            return near
         closer = np.empty(x.shape, dtype=bool)
         second.fill(np.inf)
         index.fill(0)

@@ -45,8 +45,7 @@ import numpy as np
 
 from .comb import boundary_distance
 from .errors import EstimationError
-from .geometry import FeatureArrays as _FeatureArrays
-from .geometry import require_finite
+from .geometry import FeatureArrays as _FeatureArrays, require_finite
 
 __all__ = [
     "RNG_ALGORITHM",

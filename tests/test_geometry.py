@@ -26,7 +26,8 @@ angles = st.floats(min_value=0.0, max_value=2 * math.pi, exclude_max=True)
 
 
 def _dist(p: complex, geom) -> float:
-    d = FeatureArrays([(geom, "upper")]).distances(np.array([p.real]), np.array([p.imag]))
+    x, y = np.array([p.real]), np.array([p.imag])
+    d = FeatureArrays([(geom, "upper")]).distances(x, y, np.empty(1), np.empty(1, dtype=np.intp))
     return float(d[0])
 
 
@@ -130,9 +131,8 @@ class TestKernel:
         y = np.array([p.imag for p in pts])
         arrays = FeatureArrays(feats)
         second, index = np.empty_like(x), np.empty(x.shape, dtype=np.intp)
-        dist = arrays.distances(x, y)
+        dist = arrays.distances(x, y, second, index)
         assert dist.shape == x.shape
-        assert arrays.distances(x, y, second, index).tolist() == dist.tolist()
         for k, p in enumerate(pts):
             ref = [_reference(p, geom) for geom, _ in feats]
             assert dist[k] == min(ref)  # bit for bit
@@ -145,7 +145,6 @@ class TestKernel:
         arrays = FeatureArrays(feats)
         x, y = np.array([-0.0, 0.0, 0.5, 0.5]), np.array([1.0, 1.0, 0.0, 2.0])
         second, index = np.empty_like(x), np.empty(x.shape, dtype=np.intp)
-        assert arrays.distances(x, y).tolist() == [1.0, 1.0, 0.0, 0.0]
         assert arrays.distances(x, y, second, index).tolist() == [1.0, 1.0, 0.0, 0.0]
         assert index.tolist() == [0, 0, 2, 3]
         assert second.tolist() == [1.0, 1.0, 0.5, 0.5]
