@@ -156,8 +156,6 @@ def _wos_params(args: argparse.Namespace) -> WosParams:
              ("eps", "epsilon_shell", float), ("max_steps", "max_steps", int))
     given = {field: kind(getattr(args, flag)) for flag, field, kind in flags
              if getattr(args, flag) is not None}
-    if args.no_radius_cap:
-        given["radius_cap"] = None
     if args.no_rescale:
         given["rescale"] = False
     return WosParams(**given)
@@ -172,8 +170,6 @@ def _add_wos_flags(p: argparse.ArgumentParser) -> None:
                    help=f"absorption shell, local-scale units (default {WosParams.epsilon_shell:g})")
     p.add_argument("--max-steps", type=int, default=None,
                    help=f"step budget per walker (default {WosParams.max_steps})")
-    p.add_argument("--no-radius-cap", action="store_true",
-                   help=f"disable the jump radius cap of {WosParams.radius_cap:g}")
     p.add_argument("--no-rescale", action="store_true", help="work in absolute units")
     p.add_argument("--config", default=None, help="JSON config file; flags win over it")
 

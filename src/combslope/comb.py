@@ -554,7 +554,10 @@ def surgery(domain: CombDomain, kind: str, k: int) -> SurgeryVariant:
     """Build the sealed (smaller) or tooth-dropped (larger) comparison domain.
 
     ``seal_gap`` adds the horizontal boundary segment at the k-th upper
-    tooth height spanning from its anchor to the next anchor; ``drop_tooth``
+    tooth height that continues that tooth rightward, across one block
+    beyond its anchor: on a forward comb from the anchor ``U_{2k-1}`` to
+    the next anchor ``U_{2k}``, on a backward comb from ``-U_{2k-1}`` to
+    the previous anchor ``-U_{2k-2}`` (``U_0 = 0``).  ``drop_tooth``
     removes the k-th upper tooth entirely.
     """
     if kind not in (SEAL_GAP, DROP_TOOTH):
@@ -564,8 +567,11 @@ def surgery(domain: CombDomain, kind: str, k: int) -> SurgeryVariant:
     if kind == DROP_TOOTH:
         return SurgeryVariant(domain, kind, k, None)
     a1 = domain.teeth[2 * k - 2].ray.anchor
-    a2 = domain.teeth[2 * k - 1].ray.anchor
-    seg = HSegment(min(a1.real, a2.real), max(a1.real, a2.real), a1.imag)
+    if domain.direction == FORWARD:
+        x_end = domain.teeth[2 * k - 1].ray.anchor.real
+    else:
+        x_end = domain.teeth[2 * k - 3].ray.anchor.real if k > 1 else 0.0
+    seg = HSegment(a1.real, x_end, a1.imag)
     return SurgeryVariant(domain, kind, k, seg)
 
 

@@ -1,14 +1,13 @@
 """Walk-on-spheres Monte Carlo estimator for upper-boundary harmonic measure.
 
 Each walker repeatedly jumps to a uniformly random point of the largest
-boundary-free circle centered at its position (radius optionally capped,
-which stays unbiased) and absorbs once it comes within an epsilon shell of
-the boundary; the hit is classified by the label ("upper" or "lower") of
-the nearest boundary feature.  The estimate is the fraction of absorbed
-walkers classified "upper"; walks that exhaust the step budget are
-counted as lost and excluded from the mean, with the lost fraction reported
-so callers can bound the induced bias (lost walks could have hit either
-class).
+boundary-free circle centered at its position and absorbs once it comes
+within an epsilon shell of the boundary; the hit is classified by the
+label ("upper" or "lower") of the nearest boundary feature.  The estimate
+is the fraction of absorbed walkers classified "upper"; walks that exhaust
+the step budget are counted as lost and excluded from the mean, with the
+lost fraction reported so callers can bound the induced bias (lost walks
+could have hit either class).
 
 Half-disk steps: near a flat wall a circle step only halves the distance
 to it on average, so a walker would spend most of its steps creeping into
@@ -121,7 +120,6 @@ class WosParams:
     seed: int = 0
     epsilon_shell: float = 1e-6
     max_steps: int = 100_000
-    radius_cap: float | None = 1e3
     rescale: bool = True
     max_lost_fraction: float = 1e-3
 
@@ -132,8 +130,8 @@ class WosParams:
             raise EstimationError(f"epsilon shell must be positive, got {self.epsilon_shell}")
         if self.max_steps < 1:
             raise EstimationError(f"need max_steps >= 1, got {self.max_steps}")
-        if self.radius_cap is not None and not self.radius_cap > 0.0:
-            raise EstimationError(f"radius cap must be positive or None, got {self.radius_cap}")
+        if not 0.0 <= self.max_lost_fraction <= 1.0:
+            raise EstimationError(f"need 0 <= max_lost_fraction <= 1, got {self.max_lost_fraction}")
 
 
 @dataclass(frozen=True)
@@ -227,7 +225,6 @@ def _walk(feats: _FeatureArrays, chunk: slice, seed_mixed: int, params: WosParam
     the active walkers."""
     ids = np.arange(chunk.start, chunk.stop, dtype=np.uint64)
     eps = np.array(params.epsilon_shell)
-    cap = np.array(np.inf if params.radius_cap is None else params.radius_cap)
     x = np.zeros(ids.size)
     y = np.zeros(ids.size)
     second_buf = np.empty(ids.size)
@@ -258,9 +255,8 @@ def _walk(feats: _FeatureArrays, chunk: slice, seed_mixed: int, params: WosParam
         theta = _uniform_angles(seed_mixed, ids, step)
         steps += ids.size
         if near_wall is not None:
-            _half_disk_steps(feats, x, y, near, second, index, theta, cap, near_wall)
-        # the plain step, of radius min(d, cap)
-        np.minimum(near, cap, out=near)
+            _half_disk_steps(feats, x, y, near, second, index, theta, near_wall)
+        # the plain step, of the full radius d
         move = np.cos(theta)
         move *= near
         x += move
@@ -271,14 +267,14 @@ def _walk(feats: _FeatureArrays, chunk: slice, seed_mixed: int, params: WosParam
     return upper_hits, absorbed, steps
 
 
-def _half_disk_steps(feats, x, y, near, second, index, theta, cap, candidates):
+def _half_disk_steps(feats, x, y, near, second, index, theta, candidates):
     """Exact exit from the half-disk at the wall, for those walkers of the
     mask ``candidates`` that qualify; returns the indices of the walkers
     that stepped and their radii.
 
     A walker at distance ``d`` from its nearest feature, whose foot point
     ``p`` lies strictly inside it, owns the half-disk of radius
-    ``R = min(end distance of p, d2 - d, cap)`` around ``p`` on its side:
+    ``R = min(end distance of p, d2 - d)`` around ``p`` on its side:
     every other feature is at least ``d + R`` from the walker.  Where
     ``d < R/2`` the walker leaves that half-disk in one step.  With
     ``phi = 4 atan(d/R)`` and the walker's uniform ``U = theta / 2 pi``,
@@ -299,7 +295,6 @@ def _half_disk_steps(feats, x, y, near, second, index, theta, cap, candidates):
     d = near[j]
     gap -= d
     np.minimum(radius, gap, out=radius)
-    np.minimum(radius, cap, out=radius)
     del gap
     ok = d + d < radius
     j = j[ok]

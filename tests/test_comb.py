@@ -320,6 +320,23 @@ class TestSurgery:
         assert domain.contains(p)
         assert not sealed.contains(p)
 
+    def test_backward_seal_continues_the_tooth_rightward(self):
+        # backward teeth extend left from -U_j, so the seal over block 2k - 1
+        # runs from -U_{2k-1} to -U_{2k-2} (U_0 = 0), off the tooth itself
+        plan = assign_widths(
+            plan_backward(-math.pi / 4, math.pi / 6, 6.0, 2), [200 * (i + 1) ** 2 for i in range(5)]
+        )
+        domain = build_comb(plan)
+        u = (0.0, *plan.cum_widths)
+        for k in (1, 2):
+            sealed = surgery(domain, SEAL_GAP, k)
+            seal = sealed.segment
+            height = plan.tooth_height(2 * k - 1)
+            assert (seal.x_lo, seal.x_hi, seal.y) == (-u[2 * k - 1], -u[2 * k - 2], height)
+            p = complex((seal.x_lo + seal.x_hi) / 2, height)
+            assert domain.contains(p)
+            assert not sealed.contains(p)
+
     def test_drop_tooth_opens_the_anchor(self, six_plan_widths):
         domain = build_comb(six_plan_widths)
         dropped = surgery(domain, DROP_TOOTH, 1)

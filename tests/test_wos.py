@@ -12,6 +12,7 @@ from combslope.comb import (
     Tooth,
     assign_widths,
     build_comb,
+    plan_backward,
     plan_forward,
     pseudo_strip,
     surgery,
@@ -81,8 +82,11 @@ class TestParams:
             WosParams(epsilon_shell=0.0)
         with pytest.raises(EstimationError):
             WosParams(max_steps=0)
-        with pytest.raises(EstimationError):
-            WosParams(radius_cap=-1.0)
+        for bad in (math.nan, -1.0, 1.5):
+            with pytest.raises(EstimationError):
+                WosParams(max_lost_fraction=bad)
+        # calibration tolerates every lost walker
+        assert WosParams(max_lost_fraction=1.0).max_lost_fraction == 1.0
 
 
 class TestEstimator:
@@ -186,14 +190,13 @@ class TestEstimator:
             pseudo_strip(1.0, 3.0, width), 0j, WosParams(walkers=20_000, seed=42)
         )
         exact = pseudo_strip_upper_measure(1.0, 3.0, width, 0j)
+        assert est.lost == 0
         assert est.valid
         assert abs(est.mean - exact) <= 3.0 * est.stderr
 
     def test_uncapped_radius_matches_physics(self):
         dom = pseudo_strip(1.0, 3.0, 32.0)
-        est = estimate_upper_measure(
-            dom, 0j, WosParams(walkers=10_000, seed=12, radius_cap=None)
-        )
+        est = estimate_upper_measure(dom, 0j, WosParams(walkers=10_000, seed=12))
         assert abs(est.mean - 0.75) < max(0.015, 4 * est.stderr)
 
 
@@ -257,7 +260,7 @@ class TestHalfDiskStep:
         theta = _uniform_angles(_mix64(5), np.arange(x.size, dtype=np.uint64), 0)
         d, d2 = near.copy(), second.copy()
         j, radius = wos._half_disk_steps(
-            feats, x.copy(), y.copy(), near, second, index, theta, np.array(1e3),
+            feats, x.copy(), y.copy(), near, second, index, theta,
             np.ones(x.size, dtype=bool),
         )
         assert 500 < j.size < x.size
@@ -281,7 +284,7 @@ class TestHalfDiskStep:
         theta = _uniform_angles(_mix64(17), np.arange(n, dtype=np.uint64), 0)
         j, got = wos._half_disk_steps(
             feats, x, y, near, np.full(n, np.inf), np.zeros(n, dtype=np.intp), theta,
-            np.array(np.inf), np.ones(n, dtype=bool),
+            np.ones(n, dtype=bool),
         )
         assert j.size == n and (got == radius).all()
         on_wall = y == 0.0
@@ -340,6 +343,25 @@ class TestSurgeryOrdering:
         lo = estimate_upper_measure(dropped, t, dataclasses.replace(p, seed=23))
         band = 3 * math.hypot(base.stderr, hi.stderr) + 3 * math.hypot(base.stderr, lo.stderr)
         assert lo.mean - band <= base.mean <= hi.mean + band
+
+    @pytest.mark.parametrize("k, t", [(1, -100.0), (2, -1900.0)])
+    def test_backward_bracketing_under_each_seal(self, k, t):
+        # t lies under the k-th seal, midway across block 2k - 1
+        plan = assign_widths(
+            plan_backward(-math.pi / 4, math.pi / 6, 6.0, 2), [200 * (i + 1) ** 2 for i in range(5)]
+        )
+        domain = build_comb(plan)
+        p = WosParams(walkers=4_000, seed=31)
+        lo, base, hi = (
+            estimate_upper_measure(dom, complex(t, 0.0), dataclasses.replace(p, seed=p.seed + i))
+            for i, dom in enumerate(
+                (surgery(domain, DROP_TOOTH, k), domain, surgery(domain, SEAL_GAP, k))
+            )
+        )
+        assert lo.mean <= base.mean + 3 * math.hypot(lo.stderr, base.stderr)
+        assert base.mean <= hi.mean + 3 * math.hypot(base.stderr, hi.stderr)
+        # the seal is not a no-op here
+        assert hi.mean > base.mean + 3 * math.hypot(base.stderr, hi.stderr)
 
 
 class TestProfile:
