@@ -128,14 +128,33 @@ _DEFAULT_OUTPUTS = {
 }
 
 
-def _apply_config(args: argparse.Namespace) -> argparse.Namespace:
+# config keys of options a past version had, still accepted and ignored
+_RETIRED_KEYS = frozenset({"no_radius_cap"})
+
+
+def _option_names(parser: argparse.ArgumentParser) -> set[str]:
+    """The destinations of every subcommand's options."""
+    subs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {a.dest for p in subs.choices.values() for a in p._actions}
+
+
+def _apply_config(
+    args: argparse.Namespace, parser: argparse.ArgumentParser
+) -> argparse.Namespace:
     """Fill options left unset (None) and switches left off (False) from a
     JSON config file, then unset output paths from their built-in names;
-    flags win."""
+    flags win.  A key that names no option of any subcommand is a usage
+    error, so a misspelled key cannot silently run with the default; a key
+    of another subcommand's option is skipped, so one config can serve
+    several subcommands."""
     if getattr(args, "config", None) is not None:
         cfg = json.loads(Path(args.config).read_text())
         if not isinstance(cfg, dict):
             raise ValueError("config file must hold a JSON object")
+        known = _option_names(parser) | _RETIRED_KEYS
+        unknown = [key for key in cfg if key.replace("-", "_") not in known]
+        if unknown:
+            raise ValueError(f"config file {args.config} names no option: {', '.join(unknown)}")
         for key, val in cfg.items():
             attr = key.replace("-", "_")
             if not hasattr(args, attr):
@@ -464,7 +483,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse uses 2 for usage errors
         return int(exc.code or 0)
     try:
-        args = _apply_config(args)
+        args = _apply_config(args, parser)
         return args.func(args)
     except _CHECK_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

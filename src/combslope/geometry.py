@@ -113,6 +113,13 @@ class FeatureArrays:
     ``"lower"``; every half-line comes before any segment, so index ``i``
     from :meth:`distances` and ``is_upper[i]`` belong to feature ``i``.
     Coordinates are stored as ``(z - origin) / scale``.
+
+    Distances are square roots of squared distances, so they hold the
+    range of the squares: a distance below about 1.5e-154 has a subnormal
+    square and loses precision, one below about 1.5e-162 reads 0, and one
+    above about 1.3e154 reads ``inf``.  Walkers are absorbed far above
+    that floor (the epsilon shell), and the comb coordinates lie far below
+    that ceiling.
     """
 
     def __init__(self, features, origin: complex = 0j, scale: float = 1.0):
@@ -138,35 +145,43 @@ class FeatureArrays:
         self.wall_y = np.asarray(hy + sy, dtype=float)
 
     def _each(self, x: np.ndarray, y: np.ndarray):
-        """Yield the points' distances to each closed feature in turn, 0
-        exactly on it.  Every yield reuses one buffer, so use it before
-        asking for the next."""
+        """Yield the points' squared distances to each closed feature in
+        turn, 0 exactly on it: ``(y - hy)**2 + max(x - hx, 0)**2`` to a
+        half-line, ``(y - sy)**2 + (x - clip(x, x0, x1))**2`` to a segment.
+        Every yield reuses one buffer, so use it before asking for the
+        next."""
         dx = np.empty_like(x)
         d = np.empty_like(x)
         for hx, hy in self.halflines:
-            # hypot(+-0, dy) == |dy|: straight above or below the ray
+            # straight above or below the ray dx is 0, so the root is |dy|
             np.subtract(x, hx, out=dx)
             np.maximum(dx, _ZERO, out=dx)
+            np.multiply(dx, dx, out=dx)
             np.subtract(y, hy, out=d)
-            yield np.hypot(dx, d, out=d)
+            np.multiply(d, d, out=d)
+            d += dx
+            yield d
         for x0, x1, sy in self.segments:
             np.clip(x, x0, x1, out=dx)
             np.subtract(x, dx, out=dx)
+            np.multiply(dx, dx, out=dx)
             np.subtract(y, sy, out=d)
-            yield np.hypot(dx, d, out=d)
+            np.multiply(d, d, out=d)
+            d += dx
+            yield d
 
     def distances(
         self, x: np.ndarray, y: np.ndarray, second: np.ndarray, index: np.ndarray
     ) -> np.ndarray:
         """Each point's distance to its nearest feature: a running minimum
-        over the features, one pass each, with no features-by-points
-        matrix.
+        over the features' squared distances, one pass each, with no
+        features-by-points matrix, then two square roots per point.
 
         The same pass fills the caller-owned ``second`` (float) and
         ``index`` (integer) arrays of the points' shape with each point's
         second-smallest feature distance (``inf`` with one feature; equal to
         the nearest on ties) and the index of its nearest feature, the first
-        one on ties.
+        one on ties.  Minima and ties are taken on the squares.
         """
         near = np.full_like(x, np.inf)
         closer = np.empty(x.shape, dtype=bool)
@@ -182,7 +197,8 @@ class FeatureArrays:
             np.minimum(second, d, out=second)
             np.copyto(second, near, where=closer)
             np.copyto(near, d, where=closer)
-        return near
+        np.sqrt(second, out=second)
+        return np.sqrt(near, out=near)
 
     def end_distance(self, x: np.ndarray, index: np.ndarray) -> np.ndarray:
         """Distance along the wall from abscissa ``x`` to the nearer end of

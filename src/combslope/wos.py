@@ -25,7 +25,10 @@ per (seed, walker index, step index), so results are bit-identical for a
 fixed seed regardless of batching, merge order, or how many walkers are
 still active.  Tallies are integer counts, so merging is associative.  The
 stream algorithm is named by ``RNG_ALGORITHM`` and frozen; changing it is a
-breaking change for stored fixtures.
+breaking change for stored fixtures.  The stream is of angles; the plain
+step turns its angle ``theta`` into a direction through ``tan(theta / 2)``,
+so the last bits of a step follow numpy's ``tan`` dispatch, as they
+followed libm's ``cos`` and ``sin`` before.
 
 Memory: walkers run in chunks of ``_CHUNK`` with their global ids, and the
 distance kernel keeps a running minimum, second minimum and nearest index
@@ -237,13 +240,14 @@ def _walk(feats: _FeatureArrays, chunk: slice, seed_mixed: int, params: WosParam
         if hit.any():
             upper_hits += int(np.count_nonzero(feats.is_upper[index[hit]]))
             absorbed += int(np.count_nonzero(hit))
-            keep = ~hit
-            x = x[keep]
-            y = y[keep]
-            ids = ids[keep]
-            near = near[keep]
-            second[: ids.size] = second[keep]
-            index[: ids.size] = index[keep]
+            # one index array: a gather costs less than a random mask
+            keep = np.flatnonzero(~hit)
+            x = x.take(keep)
+            y = y.take(keep)
+            ids = ids.take(keep)
+            near = near.take(keep)
+            second[: ids.size] = second.take(keep)
+            index[: ids.size] = index.take(keep)
             second, index = second[: ids.size], index[: ids.size]
             del hit, keep
             if ids.size == 0:
@@ -256,15 +260,32 @@ def _walk(feats: _FeatureArrays, chunk: slice, seed_mixed: int, params: WosParam
         steps += ids.size
         if near_wall is not None:
             _half_disk_steps(feats, x, y, near, second, index, theta, near_wall)
-        # the plain step, of the full radius d
-        move = np.cos(theta)
-        move *= near
-        x += move
-        np.sin(theta, out=move)
-        move *= near
-        y += move
-        del theta, move  # before the next kernel pass allocates
+        _plain_step(x, y, near, theta)
+        del theta  # before the next kernel pass allocates
     return upper_hits, absorbed, steps
+
+
+def _plain_step(x, y, near, theta):
+    """Move each walker by ``near`` in the direction ``theta``, in place:
+    the plain step, of the full radius ``d``.
+
+    The direction ``(cos theta, sin theta)`` comes from the half-angle
+    tangent ``t = tan(theta / 2)`` as ``((1 - t**2), 2 t) / (1 + t**2)``:
+    one SIMD ``tan`` instead of a scalar ``cos`` and ``sin``.  At
+    ``theta = pi``, ``t`` is about 1.6e16, so ``t**2`` stays finite.
+    ``theta`` is overwritten.
+    """
+    t = np.multiply(theta, 0.5, out=theta)
+    np.tan(t, out=t)
+    k = np.multiply(t, t)
+    move = np.subtract(1.0, k)
+    k += 1.0
+    np.divide(near, k, out=k)  # near / (1 + t**2)
+    move *= k
+    x += move
+    t += t
+    t *= k
+    y += t
 
 
 def _half_disk_steps(feats, x, y, near, second, index, theta, candidates):

@@ -310,6 +310,26 @@ class TestConfigFile:
         assert (tmp_path / "cfg_report" / "report.json").exists()
         assert not (tmp_path / "report").exists()
 
+    def test_unknown_key_is_a_usage_error(self, plan_path, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"walker": 50}))
+        rc = main(["measure", "--plan", str(plan_path), "--at", "100", "--config", str(cfg),
+                   "-o", str(tmp_path / "m.json")])
+        assert rc == 2
+        assert "walker" in capsys.readouterr().err
+        assert not (tmp_path / "m.json").exists()
+
+    def test_retired_and_other_subcommand_keys_are_skipped(self, plan_path, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        # no_radius_cap is a retired option; calibrate and svg belong to plan and build
+        cfg.write_text(json.dumps({"no_radius_cap": True, "calibrate": True, "svg": "c.svg",
+                                   "walkers": 50, "seed": 1}))
+        rc = main(["measure", "--plan", str(plan_path), "--at", "100", "--config", str(cfg),
+                   "-o", str(tmp_path / "m.json")])
+        assert rc == 0
+        doc = json.loads((tmp_path / "m.json").read_text())
+        assert doc["walkers"] + doc["lost"] == 50
+
     def test_help_names_default_outputs(self, capsys):
         for cmd, name in (("plan", "plan.json"), ("build", "domain.json"),
                           ("profile", "profile.csv"), ("verify", "report")):

@@ -109,14 +109,14 @@ def probe_points(draw, feats):
 
 
 def _reference(p: complex, geom) -> float:
-    """One feature's distance by the per-feature formula the kernel folds."""
+    """One feature's squared distance by the per-feature formula the kernel
+    folds."""
     x, y = np.array([p.real]), np.array([p.imag])
     if isinstance(geom, HalfLine):
-        dx, dy = x - geom.anchor.real, y - geom.anchor.imag
-        d = np.where(dx <= 0.0, np.abs(dy), np.hypot(dx, dy))
+        dx, dy = np.maximum(x - geom.anchor.real, 0.0), y - geom.anchor.imag
     else:
-        d = np.hypot(x - np.clip(x, geom.x_lo, geom.x_hi), y - geom.y)
-    return float(d[0])
+        dx, dy = x - np.clip(x, geom.x_lo, geom.x_hi), y - geom.y
+    return float((dy * dy + dx * dx)[0])
 
 
 class TestKernel:
@@ -135,9 +135,53 @@ class TestKernel:
         assert dist.shape == x.shape
         for k, p in enumerate(pts):
             ref = [_reference(p, geom) for geom, _ in feats]
-            assert dist[k] == min(ref)  # bit for bit
+            assert dist[k] == math.sqrt(min(ref))  # bit for bit
             assert index[k] == ref.index(min(ref))  # first index on ties
-            assert second[k] == sorted(ref + [math.inf])[1]  # equal to min on ties
+            # equal to the nearest on ties
+            assert second[k] == math.sqrt(sorted(ref + [math.inf])[1])
+
+    def test_distance_within_one_ulp_of_hypot(self):
+        feats = [(HalfLine(0j), "upper"), (HalfLine(complex(-3e90, 2e100)), "lower"),
+                 (HSegment(-1e120, 5e119, -1e130), "lower"),
+                 (HSegment(-1e-100, 1e-90, 1e-120), "upper")]
+        rng = np.random.default_rng(12)
+        n = 200_000
+        x = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-150, 150, n)
+        y = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-150, 150, n)
+        second, index = np.empty_like(x), np.empty(x.shape, dtype=np.intp)
+        near = FeatureArrays(feats).distances(x, y, second, index)
+        refs = np.empty((len(feats), n))
+        for f, (geom, _) in enumerate(feats):
+            if isinstance(geom, HalfLine):
+                dx, dy = np.maximum(x - geom.anchor.real, 0.0), y - geom.anchor.imag
+            else:
+                dx, dy = x - np.clip(x, geom.x_lo, geom.x_hi), y - geom.y
+            refs[f] = np.hypot(dx, dy)
+        refs.sort(axis=0)
+        for got, ref in ((near, refs[0]), (second, refs[1])):
+            ok = (ref >= 1e-150) & (ref <= 1e150)
+            assert ok.mean() > 0.9
+            assert (np.abs(got - ref) <= np.spacing(ref))[ok].all()
+
+    @given(points, st.floats(min_value=0, max_value=100),
+           st.floats(min_value=1e-150, max_value=1e150), st.sampled_from([-1.0, 1.0]))
+    def test_on_axis_distance_is_exact(self, anchor, back, dy, sign):
+        # straight above or below the ray, the distance is |dy| to the bit
+        p = complex(anchor.real - back, anchor.imag + sign * dy)
+        assert _dist(p, HalfLine(anchor)) == abs(p.imag - anchor.imag)
+
+    def test_range_of_the_squares(self):
+        wall = HalfLine(0j)
+        # below about 1.5e-154 the square is subnormal and the distance
+        # inexact but positive, so a point 1e-160 off the wall is inside
+        assert _dist(-1 + 1e-150j, wall) == 1e-150
+        assert 0.0 < _dist(-1 + 1e-160j, wall) != 1e-160
+        # below about 1.5e-162 the square underflows and the distance reads 0
+        assert _dist(-1 + 1e-163j, wall) == 0.0
+        # above about 1.3e154 the square overflows and the distance reads inf
+        assert _dist(-1 + 1e154j, wall) == 1e154
+        with np.errstate(over="ignore"):
+            assert _dist(-1 + 1e155j, wall) == math.inf
 
     def test_zero_on_features_and_ties_go_first(self):
         feats = [(HalfLine(0j), "upper"), (HalfLine(2j), "lower"),

@@ -296,6 +296,36 @@ class TestHalfDiskStep:
         assert (np.sign(y[~on_wall]) == side).all()
 
 
+class TestPlainStep:
+    """The plain step's direction, from the half-angle tangent."""
+
+    def test_direction_matches_cos_and_sin(self):
+        # U = k / 2**53: a dense sweep, then 0, 1/4, 1/2, 3/4, 1/2 -+ 2**-53
+        # and the largest U below 1, as the angle stream draws them
+        half = 1 << 52
+        special = [0, half >> 1, half, 3 * (half >> 1), half - 1, half + 1, 2 * half - 1]
+        k = np.concatenate([
+            np.linspace(0, 2 * half - 1, 1_000_001).astype(np.uint64),
+            np.array(special, dtype=np.uint64),
+        ])
+        theta = k * wos._ANGLE_UNIT
+        x, y = np.zeros(k.size), np.zeros(k.size)
+        wos._plain_step(x, y, np.ones(k.size), theta.copy())
+        assert np.isfinite(x).all() and np.isfinite(y).all()
+        assert np.abs(x - np.cos(theta)).max() <= 4e-16
+        assert np.abs(y - np.sin(theta)).max() <= 4e-16
+        # U = 1/2 draws theta = pi, where tan(theta / 2) is largest
+        at_pi = theta == math.pi
+        assert at_pi.any() and (x[at_pi] == -1.0).all()
+
+    def test_step_has_the_radius(self):
+        theta = _uniform_angles(_mix64(3), np.arange(10_000, dtype=np.uint64), 0)
+        near = 10.0 ** np.linspace(-6, 6, theta.size)
+        x, y = np.full(theta.size, 2.0), np.full(theta.size, -1.0)
+        wos._plain_step(x, y, near, theta)
+        assert np.allclose(np.hypot(x - 2.0, y + 1.0), near, rtol=1e-15, atol=1e-15)
+
+
 class TestChunks:
     def test_chunk_size_never_changes_the_tally(self, readme_comb, monkeypatch):
         # 1,003 walkers: a multiple of neither 7 nor 1000
