@@ -132,12 +132,6 @@ _DEFAULT_OUTPUTS = {
 _RETIRED_KEYS = frozenset({"no_radius_cap"})
 
 
-def _option_names(parser: argparse.ArgumentParser) -> set[str]:
-    """The destinations of every subcommand's options."""
-    subs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    return {a.dest for p in subs.choices.values() for a in p._actions}
-
-
 def _apply_config(
     args: argparse.Namespace, parser: argparse.ArgumentParser
 ) -> argparse.Namespace:
@@ -151,7 +145,8 @@ def _apply_config(
         cfg = json.loads(Path(args.config).read_text())
         if not isinstance(cfg, dict):
             raise ValueError("config file must hold a JSON object")
-        known = _option_names(parser) | _RETIRED_KEYS
+        subs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        known = {a.dest for p in subs.choices.values() for a in p._actions} | _RETIRED_KEYS
         unknown = [key for key in cfg if key.replace("-", "_") not in known]
         if unknown:
             raise ValueError(f"config file {args.config} names no option: {', '.join(unknown)}")

@@ -270,7 +270,7 @@ def _plain_step(x, y, near, theta):
     the plain step, of the full radius ``d``.
 
     The direction ``(cos theta, sin theta)`` comes from the half-angle
-    tangent ``t = tan(theta / 2)`` as ``((1 - t**2), 2 t) / (1 + t**2)``:
+    tangent ``t = tan(theta / 2)`` as ``(1 - t**2, 2 t) / (1 + t**2)``:
     one SIMD ``tan`` instead of a scalar ``cos`` and ``sin``.  At
     ``theta = pi``, ``t`` is about 1.6e16, so ``t**2`` stays finite.
     ``theta`` is overwritten.
