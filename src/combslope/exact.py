@@ -5,8 +5,12 @@ independent brute-force check (5-point stencil, red-black successive
 over-relaxation, Dirichlet data 1 on cells labeled one and 0 on cells
 labeled zero).  Grid
 problems are built from a labels array, directly or by the builders below.
-Each SOR color sweeps two parity sublattices as strided views.  The solver
-allocates private working memory per call, so concurrent use is unrestricted.
+The solver keeps the field parity-blocked: cell ``(2k + p, 2l + q)`` lives at
+``lat[k, p, q, l]``, so each parity sublattice and its four neighbor slices
+are 2-d views with contiguous rows.  Each SOR color sweeps two sublattices;
+a sublattice whose cells are all interior is written back with
+``where=True`` instead of a mask.  The solver allocates private working
+memory per call, so concurrent use is unrestricted.
 """
 
 from __future__ import annotations
@@ -183,33 +187,54 @@ def _mean_minus_center(center, below, above, left, right, out):
     return out
 
 
+def _shifted(s: slice, by: int) -> slice:
+    return slice(s.start + by, s.stop + by)
+
+
 def solve_grid(problem: GridProblem, tol: float = 1e-10) -> np.ndarray:
     """Solve the discrete Laplace problem; returns the full value field.
 
     Red-black SOR on the 5-point stencil with the optimal relaxation factor
     for the grid's shorter side, iterated until the maximum residual
     ``|mean(neighbors) - u|`` over interior cells drops below ``tol``, a
-    positive finite number (checked every 32 sweeps).  Each color is two
-    parity sublattices of the inner cells, swept as strided views through
-    one scratch buffer and written back only where the cells are interior.
+    positive finite number (checked every 32 sweeps).  The field is held
+    parity-blocked in one buffer of shape ``(ceil(R/2), 2, 2, ceil(C/2))``,
+    cell ``(2k + p, 2l + q)`` at ``[k, p, q, l]``.  Each color is two parity
+    sublattices of the inner cells; a sublattice and its four neighbors are
+    views with contiguous rows, swept through one scratch buffer and written
+    back where the cells are interior (``where=True`` when all of them are).
+    At convergence each row is un-shuffled in place, so for an odd side the
+    returned field is a view of the padded buffer.
     Deterministic for a given grid and tolerance.
     """
     if not 0.0 < tol < math.inf:
         raise GridError(f"tolerance must be positive and finite, got {tol}")
     labels = problem.labels
-    u = (labels == ONE).astype(np.float64)
+    rows, cols = labels.shape
+    rh, ch = -(-rows // 2), -(-cols // 2)
+    lat = np.zeros((rh, 2, 2, ch))
+    for p in (0, 1):
+        for q in (0, 1):
+            ones = labels[p::2, q::2] == ONE
+            lat[: ones.shape[0], p, q, : ones.shape[1]] = ones
     omega = 2.0 / (1.0 + math.sin(math.pi / max(3, min(labels.shape))))
     # GridProblem keeps every interior cell off the outer ring, so the inner
-    # view u[1:-1, 1:-1] holds every unknown and its neighbors stay on the grid.
-    interior = labels[1:-1, 1:-1] == INTERIOR
-    scratch = np.empty(u[1:-1:2, 1:-1:2].size)  # sublattice (0, 0) is the largest
+    # cells 1 <= 2k + p <= rows - 2, 1 <= 2l + q <= cols - 2 hold every
+    # unknown and their neighbors stay on the grid.
+    scratch = np.empty((rows - 1) // 2 * ((cols - 1) // 2))  # sublattice (1, 1) is the largest
     subs = []  # (center, stencil, mask, out) per sublattice, first color first
-    for a, b in ((0, 0), (1, 1), (0, 1), (1, 0)):
-        rows, cols = slice(1 + a, -1, 2), slice(1 + b, -1, 2)
-        center = u[rows, cols]
-        stencil = (u[a:-2:2, cols], u[2 + a :: 2, cols], u[rows, b:-2:2], u[rows, 2 + b :: 2])
+    for p, q in ((1, 1), (0, 0), (1, 0), (0, 1)):
+        k, l = slice(1 - p, (rows - p) // 2), slice(1 - q, (cols - q) // 2)
+        center = lat[k, p, q, l]
+        stencil = (
+            lat[_shifted(k, p - 1), 1 - p, q, l],
+            lat[_shifted(k, p), 1 - p, q, l],
+            lat[k, p, 1 - q, _shifted(l, q - 1)],
+            lat[k, p, 1 - q, _shifted(l, q)],
+        )
+        mask = labels[p::2, q::2][k, l] == INTERIOR
         out = scratch[: center.size].reshape(center.shape)  # contiguous
-        subs.append((center, stencil, interior[a::2, b::2], out))
+        subs.append((center, stencil, True if mask.all() else mask, out))
     for it in range(_SOR_MAX_ITERATIONS):
         for center, stencil, mask, out in subs:
             _mean_minus_center(center, *stencil, out)
@@ -220,7 +245,10 @@ def solve_grid(problem: GridProblem, tol: float = 1e-10) -> np.ndarray:
                 np.max(np.abs(_mean_minus_center(c, *s, out), out=out), where=m, initial=0.0)
                 for c, s, m, out in subs
             ) < tol:
-                return u
+                # row 2k + p holds its cell 2l + q at [q, l]
+                for row in lat.reshape(2 * rh, 2, ch):
+                    row.reshape(-1)[:] = row.T.ravel()
+                return lat.reshape(2 * rh, 2 * ch)[:rows, :cols]
     raise ConvergenceError(
         f"SOR did not reach residual {tol} within {_SOR_MAX_ITERATIONS} iterations"
     )

@@ -40,6 +40,7 @@ not by the walker count.
 from __future__ import annotations
 
 import dataclasses
+import math
 import time
 from dataclasses import dataclass
 
@@ -182,7 +183,8 @@ def estimate_upper_measure(
     """Estimate the harmonic measure of the boundary features labeled "upper".
 
     The start point must be finite (else :class:`DomainError`) and strictly
-    interior with boundary distance above the epsilon shell; an estimate
+    interior with a finite boundary distance above the epsilon shell (else
+    :class:`EstimationError`, which names an overflowing distance); an estimate
     with every walker lost raises :class:`EstimationError` with
     diagnostics.  Deterministic for a fixed (seed, walkers, domain, params).
     """
@@ -191,6 +193,10 @@ def estimate_upper_measure(
     d0, _ = boundary_distance(domain, point)
     if not d0 > 0.0:
         raise EstimationError(f"start point {point} lies on the domain boundary")
+    if not math.isfinite(d0):
+        raise EstimationError(
+            f"start point {point} has boundary distance {d0}: the squared distance overflows"
+        )
     scale = d0 if params.rescale else 1.0
     if not d0 / scale > params.epsilon_shell:
         raise EstimationError(

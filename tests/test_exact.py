@@ -1,6 +1,7 @@
 import cmath
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -212,13 +213,33 @@ class TestGridOracle:
                 "83539a8c457cb58bf39f3ff476ff8858e7758c6bb2120ef4b446b4756b255fe5",
                 "0.4948453608247423",
             ),
+            # pinned from the strided sublattice sweep the parity-blocked
+            # field replaced: even rows, odd columns
+            (
+                lambda: strip_problem(1.0, 3.0, rows=20, cols=201),
+                "e44c15c2987fb90d43ae33731cba8007cf3ae6cbcc77b0a10b9dcd32f013215e",
+                "0.7499999377431819",
+            ),
         ],
-        ids=["disk120", "rectangle31x54", "one_cell", "one_row"],
+        ids=["disk120", "rectangle31x54", "one_cell", "one_row", "strip20x201"],
     )
     def test_field_is_pinned(self, make, digest, value):
         p = make()
         assert _field_sha256(p) == digest
         assert repr(grid_laplace_measure(p)) == value
+
+    def test_solve_grid_holds_one_field(self):
+        # the solver's working memory is one field plus a quarter-field
+        # scratch buffer; a second field-sized copy would read above 2x
+        p = strip_problem(1, 3, rows=100, cols=1000)
+        field_bytes = p.labels.size * np.dtype(np.float64).itemsize
+        tracemalloc.start()
+        try:
+            solve_grid(p)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * field_bytes
 
     def test_iteration_budget_raises(self, monkeypatch):
         monkeypatch.setattr(exact, "_SOR_MAX_ITERATIONS", 5)

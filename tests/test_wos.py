@@ -155,6 +155,13 @@ class TestEstimator:
         with pytest.raises(EstimationError):
             estimate_upper_measure(dom, 3 + 1j, WosParams(walkers=10, seed=0))
 
+    def test_overflowing_start_distance_is_named(self):
+        # the squared-distance kernel reads a distance above about 1.3e154 as
+        # inf; that is an overflow, not a start inside the epsilon shell
+        with np.errstate(over="ignore"), pytest.raises(EstimationError, match="overflows") as info:
+            estimate_upper_measure(pseudo_strip(1.0, 3.0, 8.0), 1e155 + 0j, WosParams(walkers=10))
+        assert "shell" not in str(info.value)
+
     @pytest.mark.parametrize("point", [complex(math.nan, 0.0), complex(math.inf, 0.0)])
     def test_non_finite_start_point_is_a_domain_error(self, point):
         with pytest.raises(DomainError, match="non-finite"):
