@@ -3,8 +3,12 @@
 The strip, two-tooth and disk-arc values are exact; the grid oracle is an
 independent brute-force check (5-point stencil, red-black successive
 over-relaxation, Dirichlet data 1 on cells labeled one and 0 on cells
-labeled zero).  Grid
-problems are built from a labels array, directly or by the builders below.
+labeled zero).  Grid problems are built from a labels array, directly or
+by the builders below.  The relaxation factor is Young's optimum for the
+grid's bounding box, ``2 / (1 + sqrt(1 - mu**2))`` with the box's Jacobi
+spectral radius ``mu = (cos(pi / (R - 1)) + cos(pi / (C - 1))) / 2``
+(Young 1954); a masked domain inside the box has a smaller radius, so
+there the factor errs on the over-relaxed side, which SOR tolerates.
 The solver keeps the field parity-blocked: cell ``(2k + p, 2l + q)`` lives at
 ``lat[k, p, q, l]``, so each parity sublattice and its four neighbor slices
 are 2-d views with contiguous rows.  Each SOR color sweeps two sublattices;
@@ -194,12 +198,13 @@ def _shifted(s: slice, by: int) -> slice:
 def solve_grid(problem: GridProblem, tol: float = 1e-10) -> np.ndarray:
     """Solve the discrete Laplace problem; returns the full value field.
 
-    Red-black SOR on the 5-point stencil with the optimal relaxation factor
-    for the grid's shorter side, iterated until the maximum residual
-    ``|mean(neighbors) - u|`` over interior cells drops below ``tol``, a
-    positive finite number (checked every 32 sweeps).  The field is held
-    parity-blocked in one buffer of shape ``(ceil(R/2), 2, 2, ceil(C/2))``,
-    cell ``(2k + p, 2l + q)`` at ``[k, p, q, l]``.  Each color is two parity
+    Red-black SOR on the 5-point stencil with Young's optimal relaxation
+    factor for the ``R x C`` bounding box (see the module docstring),
+    iterated until the maximum residual ``|mean(neighbors) - u|`` over
+    interior cells drops below ``tol``, a positive finite number (checked
+    every 32 sweeps).  The field is held parity-blocked in one buffer of
+    shape ``(ceil(R/2), 2, 2, ceil(C/2))``, cell ``(2k + p, 2l + q)`` at
+    ``[k, p, q, l]``.  Each color is two parity
     sublattices of the inner cells; a sublattice and its four neighbors are
     views with contiguous rows, swept through one scratch buffer and written
     back where the cells are interior (``where=True`` when all of them are).
@@ -217,7 +222,8 @@ def solve_grid(problem: GridProblem, tol: float = 1e-10) -> np.ndarray:
         for q in (0, 1):
             ones = labels[p::2, q::2] == ONE
             lat[: ones.shape[0], p, q, : ones.shape[1]] = ones
-    omega = 2.0 / (1.0 + math.sin(math.pi / max(3, min(labels.shape))))
+    mu = 0.5 * (math.cos(math.pi / max(2, rows - 1)) + math.cos(math.pi / max(2, cols - 1)))
+    omega = 2.0 / (1.0 + math.sqrt(1.0 - mu * mu))
     # GridProblem keeps every interior cell off the outer ring, so the inner
     # cells 1 <= 2k + p <= rows - 2, 1 <= 2l + q <= cols - 2 hold every
     # unknown and their neighbors stay on the grid.

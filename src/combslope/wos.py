@@ -184,13 +184,17 @@ def estimate_upper_measure(
 
     The start point must be finite (else :class:`DomainError`) and strictly
     interior with a finite boundary distance above the epsilon shell (else
-    :class:`EstimationError`, which names an overflowing distance); an estimate
-    with every walker lost raises :class:`EstimationError` with
-    diagnostics.  Deterministic for a fixed (seed, walkers, domain, params).
+    :class:`EstimationError`, which names an overflowing distance).  Features
+    of both labels must span more than the epsilon shell in the walkers'
+    units, else no walker can tell them apart and :class:`EstimationError`
+    is raised.  An estimate with every walker lost raises
+    :class:`EstimationError` with diagnostics.  Deterministic for a fixed
+    (seed, walkers, domain, params).
     """
     t0 = time.perf_counter()
     require_finite(point)
-    d0, _ = boundary_distance(domain, point)
+    with np.errstate(over="ignore"):  # an overflowing square is named below
+        d0, _ = boundary_distance(domain, point)
     if not d0 > 0.0:
         raise EstimationError(f"start point {point} lies on the domain boundary")
     if not math.isfinite(d0):
@@ -204,6 +208,16 @@ def estimate_upper_measure(
             f"epsilon shell {params.epsilon_shell} (scale {scale})"
         )
     feats = _FeatureArrays(domain.features(), origin=point, scale=scale)
+    if feats.is_upper.any() and not feats.is_upper.all():
+        # the bounding box of the features' finite ends, in the walkers' units
+        xs = np.concatenate((feats.x_hi, feats.x_lo[np.isfinite(feats.x_lo)]))
+        span = math.hypot(np.ptp(xs), np.ptp(feats.wall_y))
+        if not span > params.epsilon_shell:
+            raise EstimationError(
+                f"start point {point} sees the features within {span} of each other "
+                f"(scale {scale}), inside the epsilon shell {params.epsilon_shell}: "
+                "no walker can tell the upper features from the lower"
+            )
     seed_mixed = _mix64(params.seed)
 
     n = params.walkers

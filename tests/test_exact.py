@@ -166,67 +166,82 @@ def _one_row_problem() -> GridProblem:
     return GridProblem(labels, 1.0, 4 + 1j)
 
 
-def _field_sha256(problem: GridProblem) -> str:
-    return hashlib.sha256(solve_grid(problem).tobytes()).hexdigest()
+def _assert_field_pinned(problem: GridProblem, digest: str, value: str, parent: str) -> None:
+    """The solved field has sha256 ``digest``, solves the discrete problem
+    to the default ``tol``, and its measure reads ``value``, within 1e-8 of
+    ``parent``, the value pinned from the square-side relaxation factor."""
+    u = solve_grid(problem)
+    assert hashlib.sha256(u.tobytes()).hexdigest() == digest
+    measure = problem.value_at(u, problem.eval_point)
+    assert repr(measure) == value
+    assert abs(measure - float(parent)) < 1e-8
+    # interior cells never touch the outer ring, so the inner view holds them
+    inner = u[1:-1, 1:-1]
+    mean = (u[:-2, 1:-1] + u[2:, 1:-1] + u[1:-1, :-2] + u[1:-1, 2:]) / 4.0
+    interior = problem.labels[1:-1, 1:-1] == INTERIOR
+    assert np.max(np.abs(mean - inner)[interior]) < 1e-10
 
 
 class TestGridOracle:
-    # fields pinned bit for bit from the fancy-index red-black SOR solver the
-    # slice sweep replaced
+    # fields pinned bit for bit from the red-black SOR with Young's
+    # relaxation factor for the grid's bounding box; the last string is the
+    # measure pinned from the square-side factor it replaced
     def test_square_field_is_pinned(self):
-        p = square_problem(61, 0.5 + 0.5j)
-        assert _field_sha256(p) == (
-            "b1204534b94e019aa81157671b797f8184478470b9b3ee9ab2b5ac43b14571c3"
+        _assert_field_pinned(
+            square_problem(61, 0.5 + 0.5j),
+            "6f842fe63ca9abdd813273070aa88448f02aaf64929a2c5ae862fe5b695967d4",
+            "0.24999999939185666",
+            "0.25000000015934026",
         )
-        assert repr(grid_laplace_measure(p)) == "0.25000000015934026"
 
     def test_l_shaped_field_with_exterior_is_pinned(self):
-        p = _l_shaped_problem()
-        assert _field_sha256(p) == (
-            "728a57074de05c43402a01edba7f995352004d24f8a769da2b896c01095ce24d"
+        _assert_field_pinned(
+            _l_shaped_problem(),
+            "420df5042d86aa614e27919caf41bf9c57db3dea9a8d762770412cfbe618a0e2",
+            "0.013482247548832585",
+            "0.013482247548782694",
         )
-        assert repr(grid_laplace_measure(p)) == "0.013482247548782694"
 
-    # fields pinned bit for bit from the slice sweep the sublattice sweep
-    # replaced: an even inner view, a mixed-parity one, and inner views with
-    # empty sublattices
+    # an even inner view, a mixed-parity one, inner views with empty
+    # sublattices, and even rows by odd columns
     @pytest.mark.parametrize(
-        "make, digest, value",
+        "make, digest, value, parent",
         [
             (
                 lambda: disk_problem(120, 0j),
-                "9a76d6ac46eee0bbc676daac3f2d7310877e124f71aa7ff94790286ab4607cb3",
+                "84d8b09a98942bf2064a1e200882c538f42ae76491133c933b484af466e8ecf7",
+                "0.49999999994576194",
                 "0.49999999996020417",
             ),
             (
                 lambda: rectangle_problem(3.0, 1.7, 31, 0.5 + 0.5j),
-                "d31b632a2fa21eb21a2b078766ee1daf9f15148916270707bebd432599af0787",
+                "351ff4497873bcf0cb01161e00336ba6b23d221213c4c86f5f8a05039e8b9522",
+                "0.1307177078383318",
                 "0.13071770754261372",
             ),
             (
                 _one_cell_problem,
                 "f1f061445f41cfdc887b11561703f1cbe75363d2b6021b7ae71ac50f050bcf71",
                 "0.5",
+                "0.5",
             ),
             (
                 _one_row_problem,
                 "83539a8c457cb58bf39f3ff476ff8858e7758c6bb2120ef4b446b4756b255fe5",
                 "0.4948453608247423",
+                "0.4948453608247423",
             ),
-            # pinned from the strided sublattice sweep the parity-blocked
-            # field replaced: even rows, odd columns
             (
                 lambda: strip_problem(1.0, 3.0, rows=20, cols=201),
-                "e44c15c2987fb90d43ae33731cba8007cf3ae6cbcc77b0a10b9dcd32f013215e",
+                "d94be280d58eff0a2830dbb178c0b7b4da2008f5a7449dafe8b63eb673226a12",
+                "0.7499999386653193",
                 "0.7499999377431819",
             ),
         ],
         ids=["disk120", "rectangle31x54", "one_cell", "one_row", "strip20x201"],
     )
-    def test_field_is_pinned(self, make, digest, value):
-        p = make()
-        assert _field_sha256(p) == digest
-        assert repr(grid_laplace_measure(p)) == value
+    def test_field_is_pinned(self, make, digest, value, parent):
+        _assert_field_pinned(make(), digest, value, parent)
 
     def test_solve_grid_holds_one_field(self):
         # the solver's working memory is one field plus a quarter-field
@@ -245,6 +260,13 @@ class TestGridOracle:
         monkeypatch.setattr(exact, "_SOR_MAX_ITERATIONS", 5)
         with pytest.raises(ConvergenceError):
             solve_grid(square_problem(11, 0.5 + 0.5j), tol=1e-300)
+
+    def test_sweep_budget_on_the_strip(self, monkeypatch):
+        # Young's factor for the 100x1000 box meets tol after 496 sweeps and
+        # the check after sweep 513 sees it; the square-side factor needed
+        # 960 sweeps, so it raised within this budget
+        monkeypatch.setattr(exact, "_SOR_MAX_ITERATIONS", 545)
+        solve_grid(strip_problem(1, 3, rows=100, cols=1000))
 
     @pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan, math.inf])
     def test_tolerance_must_be_positive_and_finite(self, monkeypatch, tol):

@@ -158,9 +158,20 @@ class TestEstimator:
     def test_overflowing_start_distance_is_named(self):
         # the squared-distance kernel reads a distance above about 1.3e154 as
         # inf; that is an overflow, not a start inside the epsilon shell
-        with np.errstate(over="ignore"), pytest.raises(EstimationError, match="overflows") as info:
+        with pytest.raises(EstimationError, match="overflows") as info:
             estimate_upper_measure(pseudo_strip(1.0, 3.0, 8.0), 1e155 + 0j, WosParams(walkers=10))
         assert "shell" not in str(info.value)
+
+    def test_features_inside_one_shell_are_named(self):
+        # from 1e150 the teeth 2 apart lie within 2e-150 start distances of
+        # each other: every distance ties, and the estimate read 1.0 with
+        # stderr 0 where symmetry makes it 1/2
+        dom = pseudo_strip(1.0, 1.0, 2.0)
+        with pytest.raises(EstimationError, match="tell the upper features from the lower"):
+            estimate_upper_measure(dom, 1e150 + 0j, WosParams(walkers=2_000))
+        # a start point whose shell still resolves the teeth estimates as before
+        est = estimate_upper_measure(dom, 1e5 + 0j, WosParams(walkers=2_000))
+        assert abs(est.mean - 0.5) < 3 * est.stderr
 
     @pytest.mark.parametrize("point", [complex(math.nan, 0.0), complex(math.inf, 0.0)])
     def test_non_finite_start_point_is_a_domain_error(self, point):
