@@ -1,20 +1,33 @@
 """Closed-form harmonic-measure oracles and a finite-difference Laplace oracle.
 
 The strip, two-tooth and disk-arc values are exact; the grid oracle is an
-independent brute-force check (5-point stencil, red-black successive
-over-relaxation, Dirichlet data 1 on cells labeled one and 0 on cells
-labeled zero).  Grid problems are built from a labels array, directly or
-by the builders below.  The relaxation factor is Young's optimum for the
-grid's bounding box, ``2 / (1 + sqrt(1 - mu**2))`` with the box's Jacobi
-spectral radius ``mu = (cos(pi / (R - 1)) + cos(pi / (C - 1))) / 2``
-(Young 1954); a masked domain inside the box has a smaller radius, so
-there the factor errs on the over-relaxed side, which SOR tolerates.
-The solver keeps the field parity-blocked: cell ``(2k + p, 2l + q)`` lives at
-``lat[k, p, q, l]``, so each parity sublattice and its four neighbor slices
-are 2-d views with contiguous rows.  Each SOR color sweeps two sublattices;
-a sublattice whose cells are all interior is written back with
-``where=True`` instead of a mask.  The solver allocates private working
-memory per call, so concurrent use is unrestricted.
+independent brute-force check (5-point stencil, Dirichlet data 1 on cells
+labeled one and 0 on cells labeled zero).  Grid problems are built from a
+labels array, directly or by the builders below.
+
+A grid whose inner cells (all but the outer ring) are all interior is a box
+problem: the strip, square and rectangle builders make one.  There the
+5-point system is separable, and a discrete sine transform (DST-I) along
+both axes diagonalises it, so it is solved directly (Buzbee, Golub &
+Nielson, SIAM J. Numer. Anal. 7, 1970).  Each DST-I is the real FFT of the
+odd extension of a line, taken in batches of lines with a small scratch
+buffer, so the solve works in place on the field.
+
+A masked grid (exterior cells or boundary labels inside the ring, as in
+the disk and the comb rasters) is solved by red-black successive
+over-relaxation.  The relaxation factor is Young's optimum for the grid's
+bounding box, ``2 / (1 + sqrt(1 - mu**2))`` with the box's Jacobi spectral
+radius ``mu = (cos(pi / (R - 1)) + cos(pi / (C - 1))) / 2`` (Young 1954); a
+masked domain inside the box has a smaller radius, so there the factor
+errs on the over-relaxed side, which SOR tolerates.  SOR keeps the field
+parity-blocked: cell ``(2k + p, 2l + q)`` lives at ``lat[k, p, q, l]``, so
+each parity sublattice and its four neighbor slices are 2-d views with
+contiguous rows.  Each SOR color sweeps two sublattices; a sublattice whose
+cells are all interior is written back with ``where=True`` instead of a
+mask.
+
+Both solvers allocate private working memory per call, so concurrent use
+is unrestricted.
 """
 
 from __future__ import annotations
@@ -77,7 +90,9 @@ def pseudo_strip_upper_measure(
     ``arg f^-1(z') / pi`` with ``z' = z - width/2 - H/(2 pi) + i down``.
     Newton's method inverts ``f`` from the channel asymptote
     ``w0 = exp(pi z' / H)`` (Driscoll & Trefethen, *Schwarz-Christoffel
-    Mapping*, 2002).
+    Mapping*, 2002).  It stops when the step falls below 1e-15 of ``|w|``
+    or the residual ``|f(w) - z'|`` within 4 ulps of ``max(|z'|, H/pi)``,
+    whichever comes first.
     """
     if not (dist_up > 0.0 and dist_down > 0.0 and width > 0.0):
         raise DomainError(
@@ -88,8 +103,14 @@ def pseudo_strip_upper_measure(
     target = z - width / 2.0 - h / _TWO_PI + 1j * dist_down
     c = -h / math.pi
     w = cmath.exp(math.pi * target / h)
+    # |f(w) - target| cannot fall much below the rounding of its terms, so
+    # the residual test stops where a small w keeps the step test from it
+    attainable = 4.0 * math.ulp(1.0) * max(abs(target), abs(c))
     for _ in range(_NEWTON_STEPS):
-        step = (c * (w * w / 2.0 - cmath.log(w)) - target) / (c * (w - 1.0 / w))
+        residual = c * (w * w / 2.0 - cmath.log(w)) - target
+        if abs(residual) <= attainable:
+            break
+        step = residual / (c * (w - 1.0 / w))
         w -= step
         if abs(step) <= 1e-15 * abs(w):
             break
@@ -195,26 +216,118 @@ def _shifted(s: slice, by: int) -> slice:
     return slice(s.start + by, s.stop + by)
 
 
+# scratch per batch of lines in the box solve; on the 100x1000 strip the
+# solve's traced peak is 1.13 fields with 32 KiB batches and 1.5 with
+# 128 KiB, which save about a fifth of the time
+_BATCH_BYTES = 32 * 1024
+
+
+def _lines_per_batch(line_bytes: int) -> int:
+    return max(1, _BATCH_BYTES // line_bytes)
+
+
+def _dst1_rows(a: np.ndarray) -> None:
+    """DST-I in place along every row of the 2-d view ``a``.
+
+    Row ``x_1 .. x_n`` becomes ``X_k = sum_l x_l sin(pi k l / (n + 1))``.
+    A batch of rows is odd-extended to ``(0, x, 0, -reversed x)``, whose
+    real FFT has imaginary part ``-2 X_k`` at ``k = 1 .. n``.
+    """
+    rows, n = a.shape
+    step = _lines_per_batch(16 * (n + 1))
+    ext = np.zeros((min(step, rows), 2 * (n + 1)))
+    for r in range(0, rows, step):
+        lines = a[r : r + step]
+        e = ext[: lines.shape[0]]
+        e[:, 1 : n + 1] = lines
+        np.negative(lines[:, ::-1], out=e[:, n + 2 :])
+        np.multiply(np.fft.rfft(e).imag[:, 1 : n + 1], -0.5, out=lines)
+
+
+def _solve_box(rhs: np.ndarray) -> np.ndarray:
+    """Solve ``4 x_ij - (x at the four neighbors in the box) = rhs_ij`` in place.
+
+    ``rhs`` is an ``M x N`` view; neighbors outside it count as 0.  The
+    system matrix is ``T_M (x) I + I (x) T_N`` with ``T = tridiag(-1, 2, -1)``,
+    whose eigenvectors are sine modes: DST-I along rows and then along
+    columns, division by ``lambda_i + lambda_j`` with
+    ``lambda_k = 2 - 2 cos(pi k / (K + 1))``, the same two transforms back,
+    and the scale ``4 / ((M + 1) (N + 1))`` of the inverse transforms.
+    Returns ``rhs``, which then holds the solution.
+    """
+    m, n = rhs.shape
+    _dst1_rows(rhs)
+    _dst1_rows(rhs.T)
+    lam_m, lam_n = (2.0 - 2.0 * np.cos(np.pi * np.arange(1, k + 1) / (k + 1)) for k in (m, n))
+    scale = 4.0 / ((m + 1) * (n + 1))
+    step = _lines_per_batch(8 * n)
+    for r in range(0, m, step):
+        rhs[r : r + step] *= scale / (lam_m[r : r + step, None] + lam_n)
+    _dst1_rows(rhs)
+    _dst1_rows(rhs.T)
+    return rhs
+
+
+def _max_residual(u: np.ndarray) -> float:
+    """Maximum ``|mean(neighbors) - u|`` over the inner cells of ``u``, a few rows at a time."""
+    rows, cols = u.shape
+    step = _lines_per_batch(8 * (cols - 2))
+    scratch = np.empty((min(step, rows - 2), cols - 2))
+    worst = 0.0
+    for r in range(1, rows - 1, step):
+        s = slice(r, min(r + step, rows - 1))
+        out = scratch[: s.stop - s.start]
+        _mean_minus_center(
+            u[s, 1:-1], u[_shifted(s, -1), 1:-1], u[_shifted(s, 1), 1:-1], u[s, :-2], u[s, 2:], out
+        )
+        worst = max(worst, float(np.max(np.abs(out, out=out))))
+    return worst
+
+
 def solve_grid(problem: GridProblem, tol: float = 1e-10) -> np.ndarray:
     """Solve the discrete Laplace problem; returns the full value field.
 
-    Red-black SOR on the 5-point stencil with Young's optimal relaxation
-    factor for the ``R x C`` bounding box (see the module docstring),
-    iterated until the maximum residual ``|mean(neighbors) - u|`` over
-    interior cells drops below ``tol``, a positive finite number (checked
-    every 32 sweeps).  The field is held parity-blocked in one buffer of
-    shape ``(ceil(R/2), 2, 2, ceil(C/2))``, cell ``(2k + p, 2l + q)`` at
-    ``[k, p, q, l]``.  Each color is two parity
-    sublattices of the inner cells; a sublattice and its four neighbors are
-    views with contiguous rows, swept through one scratch buffer and written
-    back where the cells are interior (``where=True`` when all of them are).
-    At convergence each row is un-shuffled in place, so for an odd side the
-    returned field is a view of the padded buffer.
+    ``tol``, a positive finite number, bounds the maximum residual
+    ``|mean(neighbors) - u|`` over interior cells of the returned field;
+    where the solver cannot meet it, :class:`ConvergenceError` is raised.
+
+    A box problem (every inner cell interior, see the module docstring)
+    moves the boundary neighbors of the inner cells onto the right-hand
+    side in place and solves there with ``_solve_box``, the direct
+    sine-transform solve; its residual, checked once after the solve, is
+    about 1e-15, so only a ``tol`` below that raises.
+
+    A masked problem runs red-black SOR on the 5-point stencil with Young's
+    optimal relaxation factor for the ``R x C`` bounding box, iterated until
+    the residual drops below ``tol`` (checked every 32 sweeps).  The field
+    is held parity-blocked in one buffer of shape
+    ``(ceil(R/2), 2, 2, ceil(C/2))``, cell ``(2k + p, 2l + q)`` at
+    ``[k, p, q, l]``.  Each color is two parity sublattices of the inner
+    cells; a sublattice and its four neighbors are views with contiguous
+    rows, swept through one scratch buffer and written back where the cells
+    are interior (``where=True`` when all of them are).  At convergence each
+    row is un-shuffled in place, so for an odd side the returned field is a
+    view of the padded buffer.
+
     Deterministic for a given grid and tolerance.
     """
     if not 0.0 < tol < math.inf:
         raise GridError(f"tolerance must be positive and finite, got {tol}")
     labels = problem.labels
+    if (labels[1:-1, 1:-1] == INTERIOR).all():
+        u = (labels == ONE).astype(np.float64)
+        inner = u[1:-1, 1:-1]  # the unknowns, which start as the right-hand side
+        inner[0] += u[0, 1:-1]
+        inner[-1] += u[-1, 1:-1]
+        inner[:, 0] += u[1:-1, 0]
+        inner[:, -1] += u[1:-1, -1]
+        _solve_box(inner)
+        residual = _max_residual(u)
+        if not residual < tol:
+            raise ConvergenceError(
+                f"the direct box solve reached residual {residual}, not below {tol}"
+            )
+        return u
     rows, cols = labels.shape
     rh, ch = -(-rows // 2), -(-cols // 2)
     lat = np.zeros((rh, 2, 2, ch))

@@ -193,8 +193,7 @@ def estimate_upper_measure(
     """
     t0 = time.perf_counter()
     require_finite(point)
-    with np.errstate(over="ignore"):  # an overflowing square is named below
-        d0, _ = boundary_distance(domain, point)
+    d0, _ = boundary_distance(domain, point)  # an overflowing square reads inf, named below
     if not d0 > 0.0:
         raise EstimationError(f"start point {point} lies on the domain boundary")
     if not math.isfinite(d0):

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -418,6 +419,14 @@ class TestBoundaryDistance:
         d, i = boundary_distance(domain, 5 + 0j)
         assert (d, i) == (6.0, 0)
         assert domain.teeth[i].ray.anchor == 10 + 6j
+
+    def test_overflowing_distance_is_inf_without_a_warning(self):
+        # beyond about 1.3e154 the kernel's squares overflow; inf is the
+        # right distance for features that far away, for every caller
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert pseudo_strip(1.0, 3.0, 8.0).contains(1e155 + 0j)
+            assert boundary_distance(pseudo_strip(1.0, 1.0, 2.0), 1e155 + 0j)[0] == math.inf
 
     def test_segments_must_follow_half_lines(self, six_plan_widths):
         # the kernel's rows follow the features; a reordered list is refused

@@ -61,6 +61,26 @@ class TestPseudoStripMeasure:
             strip_upper_measure(1.5, 1.5), abs=1e-12
         )
 
+    def test_newton_stops_on_its_residual(self):
+        # the first Newton step lands on the root; a step test alone then
+        # alternates between two neighboring floats until the budget runs out
+        assert pseudo_strip_upper_measure(1.0, 3.0, 4.0, -40 + 0.5j) == pytest.approx(
+            strip_upper_measure(0.5, 3.5), abs=1e-12
+        )
+
+    @pytest.mark.parametrize(
+        "up, down, width", [(1.0, 3.0, 4.0), (1.0, 3.0, 1.0), (6.0, 18.0, 432.0)]
+    )
+    def test_converges_along_the_axis(self, up, down, width):
+        # x = -0.25 k H for k < 400; from k = 40 on the point lies 10 H or
+        # more down the channel, where the measure is the strip's to 1e-12
+        h = up + down
+        for k in range(400):
+            value = pseudo_strip_upper_measure(up, down, width, complex(-0.25 * k * h, 0.0))
+            assert 0.0 < value < 1.0
+            if k >= 40:
+                assert value == pytest.approx(strip_upper_measure(up, down), abs=1e-12)
+
     def test_boundary_values_near_each_tooth(self):
         assert pseudo_strip_upper_measure(1.0, 3.0, 8.0, -10 + 0.999999j) > 0.999
         assert pseudo_strip_upper_measure(1.0, 3.0, 8.0, -10 - 2.999999j) < 0.001
@@ -169,7 +189,7 @@ def _one_row_problem() -> GridProblem:
 def _assert_field_pinned(problem: GridProblem, digest: str, value: str, parent: str) -> None:
     """The solved field has sha256 ``digest``, solves the discrete problem
     to the default ``tol``, and its measure reads ``value``, within 1e-8 of
-    ``parent``, the value pinned from the square-side relaxation factor."""
+    ``parent``, the value pinned from the solver the current one replaced."""
     u = solve_grid(problem)
     assert hashlib.sha256(u.tobytes()).hexdigest() == digest
     measure = problem.value_at(u, problem.eval_point)
@@ -183,17 +203,20 @@ def _assert_field_pinned(problem: GridProblem, digest: str, value: str, parent: 
 
 
 class TestGridOracle:
-    # fields pinned bit for bit from the red-black SOR with Young's
-    # relaxation factor for the grid's bounding box; the last string is the
-    # measure pinned from the square-side factor it replaced
+    # box fields are pinned bit for bit from the direct sine-transform
+    # solve; the last string is the measure pinned from the red-black SOR
+    # with Young's relaxation factor that solved them before
     def test_square_field_is_pinned(self):
         _assert_field_pinned(
             square_problem(61, 0.5 + 0.5j),
-            "6f842fe63ca9abdd813273070aa88448f02aaf64929a2c5ae862fe5b695967d4",
+            "07b4491f96ef226072ab58133cb85e6b1ac034d11683ce3350cb58ef087fdd94",
+            "0.24999999999998784",
             "0.24999999939185666",
-            "0.25000000015934026",
         )
 
+    # masked fields are pinned bit for bit from the red-black SOR with
+    # Young's relaxation factor for the grid's bounding box; the last string
+    # is the measure pinned from the square-side factor it replaced
     def test_l_shaped_field_with_exterior_is_pinned(self):
         _assert_field_pinned(
             _l_shaped_problem(),
@@ -202,8 +225,10 @@ class TestGridOracle:
             "0.013482247548782694",
         )
 
-    # an even inner view, a mixed-parity one, inner views with empty
-    # sublattices, and even rows by odd columns
+    # disk120 is masked (SOR, the last string from the square-side factor);
+    # the rest are boxes (the direct solve, the last string from SOR): a
+    # mixed-parity inner view, a one-cell and a one-row inner view, and even
+    # rows by odd columns
     @pytest.mark.parametrize(
         "make, digest, value, parent",
         [
@@ -215,27 +240,27 @@ class TestGridOracle:
             ),
             (
                 lambda: rectangle_problem(3.0, 1.7, 31, 0.5 + 0.5j),
-                "351ff4497873bcf0cb01161e00336ba6b23d221213c4c86f5f8a05039e8b9522",
+                "a52609f21cfb78555e04919801c069e21a4a7d6828f99c410d471c157e04483b",
+                "0.13071770784743453",
                 "0.1307177078383318",
-                "0.13071770754261372",
             ),
             (
                 _one_cell_problem,
-                "f1f061445f41cfdc887b11561703f1cbe75363d2b6021b7ae71ac50f050bcf71",
-                "0.5",
+                "ffe49d6e8beabb85d4e8a3b72159a47b9901d0b294588abb3ddccab95394a2b3",
+                "0.5000000000000001",
                 "0.5",
             ),
             (
                 _one_row_problem,
-                "83539a8c457cb58bf39f3ff476ff8858e7758c6bb2120ef4b446b4756b255fe5",
-                "0.4948453608247423",
+                "a9c8261f8a1796652e6558d12155ba52cff16c0c119c239c601424a96a3a891f",
+                "0.49484536082474234",
                 "0.4948453608247423",
             ),
             (
                 lambda: strip_problem(1.0, 3.0, rows=20, cols=201),
-                "d94be280d58eff0a2830dbb178c0b7b4da2008f5a7449dafe8b63eb673226a12",
+                "a3849f07c7f8b6b776fb5183158387f8afaff3ea12d6670b396e3222623e7131",
+                "0.7499999386664742",
                 "0.7499999386653193",
-                "0.7499999377431819",
             ),
         ],
         ids=["disk120", "rectangle31x54", "one_cell", "one_row", "strip20x201"],
@@ -244,8 +269,9 @@ class TestGridOracle:
         _assert_field_pinned(make(), digest, value, parent)
 
     def test_solve_grid_holds_one_field(self):
-        # the solver's working memory is one field plus a quarter-field
-        # scratch buffer; a second field-sized copy would read above 2x
+        # the box solve works in place on the field, with scratch of a few
+        # 32 KiB batches of lines; a second field-sized copy would read
+        # above 2x
         p = strip_problem(1, 3, rows=100, cols=1000)
         field_bytes = p.labels.size * np.dtype(np.float64).itemsize
         tracemalloc.start()
@@ -256,17 +282,45 @@ class TestGridOracle:
             tracemalloc.stop()
         assert peak < 1.5 * field_bytes
 
-    def test_iteration_budget_raises(self, monkeypatch):
-        monkeypatch.setattr(exact, "_SOR_MAX_ITERATIONS", 5)
-        with pytest.raises(ConvergenceError):
+    def test_box_residual_below_attainable_raises(self):
+        # the direct solve's residual is about 1e-15; the check after it
+        # refuses a tolerance the field does not meet
+        with pytest.raises(ConvergenceError, match="residual"):
             solve_grid(square_problem(11, 0.5 + 0.5j), tol=1e-300)
 
-    def test_sweep_budget_on_the_strip(self, monkeypatch):
-        # Young's factor for the 100x1000 box meets tol after 496 sweeps and
-        # the check after sweep 513 sees it; the square-side factor needed
-        # 960 sweeps, so it raised within this budget
-        monkeypatch.setattr(exact, "_SOR_MAX_ITERATIONS", 545)
-        solve_grid(strip_problem(1, 3, rows=100, cols=1000))
+    def test_iteration_budget_raises_on_a_masked_grid(self, monkeypatch):
+        monkeypatch.setattr(exact, "_SOR_MAX_ITERATIONS", 5)
+        with pytest.raises(ConvergenceError, match="SOR"):
+            solve_grid(_l_shaped_problem())
+
+    def test_sweep_budget_on_the_disk(self, monkeypatch):
+        # SOR with Young's factor meets tol on disk120 after 433 sweeps, and
+        # the check every 32 sweeps sees it after sweep 449
+        monkeypatch.setattr(exact, "_SOR_MAX_ITERATIONS", 481)
+        solve_grid(disk_problem(120, 0j))
+
+    @pytest.mark.parametrize("rows", range(3, 12))
+    def test_box_solve_matches_a_dense_solve(self, rows):
+        # the 5-point system assembled cell by cell and solved densely, on
+        # boxes of every row and column parity with random boundary labels
+        rng = np.random.default_rng(rows)
+        for cols in range(3, 12):
+            labels = rng.choice(np.array([ONE, ZERO], dtype=np.int8), size=(rows, cols))
+            labels[1:-1, 1:-1] = INTERIOR
+            u = solve_grid(GridProblem(labels, 1.0, 1 + 1j))
+            m, n = rows - 2, cols - 2
+            a, b = 4.0 * np.eye(m * n), np.zeros(m * n)
+            for i in range(1, rows - 1):
+                for j in range(1, cols - 1):
+                    k = (i - 1) * n + (j - 1)
+                    for ni, nj in ((i - 1, j), (i + 1, j), (i, j - 1), (i, j + 1)):
+                        if labels[ni, nj] == INTERIOR:
+                            a[k, (ni - 1) * n + (nj - 1)] = -1.0
+                        else:
+                            b[k] += labels[ni, nj] == ONE
+            want = np.linalg.solve(a, b).reshape(m, n)
+            assert np.max(np.abs(u[1:-1, 1:-1] - want)) < 1e-12
+            assert np.array_equal(u[labels != INTERIOR], (labels == ONE)[labels != INTERIOR])
 
     @pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan, math.inf])
     def test_tolerance_must_be_positive_and_finite(self, monkeypatch, tol):

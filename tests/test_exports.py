@@ -1,5 +1,8 @@
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 
 import combslope
 
@@ -12,3 +15,11 @@ def test_every_export_resolves():
     for mod in modules:
         missing = [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)]
         assert not missing, f"{mod.__name__}.__all__ names what it lacks: {missing}"
+
+
+def test_import_leaves_numpy_fft_unloaded():
+    # only the grid oracle's box solve uses numpy.fft, and it reaches it by
+    # attribute, so runs that solve no grid do not pay for loading it
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    code = "import combslope, sys; assert 'numpy.fft' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
