@@ -475,12 +475,11 @@ def pseudo_strip(dist_up: float, dist_down: float, width: float) -> CombDomain:
 def boundary_distance(domain, p: complex) -> tuple[float, int]:
     """Distance from ``p`` to the domain boundary and the nearest feature index.
 
-    The kernel squares distances, so a feature more than about 1.3e154 away
-    reads as ``inf`` without a warning; that is the right distance for it.
+    A feature more than about 1.3e154 away reads as ``inf`` (see
+    :meth:`FeatureArrays.distances`).
     """
     x, y, index = np.array([p.real]), np.array([p.imag]), np.zeros(1, dtype=np.intp)
-    with np.errstate(over="ignore"):
-        d = FeatureArrays(domain.features()).distances(x, y, np.empty(1), index)
+    d = FeatureArrays(domain.features()).distances(x, y, np.empty(1), index)
     return float(d[0]), int(index[0])
 
 

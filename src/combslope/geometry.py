@@ -182,21 +182,25 @@ class FeatureArrays:
         second-smallest feature distance (``inf`` with one feature; equal to
         the nearest on ties) and the index of its nearest feature, the first
         one on ties.  Minima and ties are taken on the squares.
+
+        A feature more than about 1.3e154 away has a square that overflows;
+        it reads as ``inf`` without a warning, the right distance for it.
         """
         near = np.full_like(x, np.inf)
         closer = np.empty(x.shape, dtype=bool)
         second.fill(np.inf)
         index.fill(0)
-        for i, d in enumerate(self._each(x, y)):
-            if not i:  # the first feature only sets the minimum
-                np.copyto(near, d)
-                continue
-            np.less(d, near, out=closer)
-            np.copyto(index, i, where=closer)
-            # the old minimum is the new second where d takes its place
-            np.minimum(second, d, out=second)
-            np.copyto(second, near, where=closer)
-            np.copyto(near, d, where=closer)
+        with np.errstate(over="ignore"):
+            for i, d in enumerate(self._each(x, y)):
+                if not i:  # the first feature only sets the minimum
+                    np.copyto(near, d)
+                    continue
+                np.less(d, near, out=closer)
+                np.copyto(index, i, where=closer)
+                # the old minimum is the new second where d takes its place
+                np.minimum(second, d, out=second)
+                np.copyto(second, near, where=closer)
+                np.copyto(near, d, where=closer)
         np.sqrt(second, out=second)
         return np.sqrt(near, out=near)
 

@@ -214,29 +214,29 @@ class TestGridOracle:
             "0.24999999939185666",
         )
 
-    # masked fields are pinned bit for bit from the red-black SOR with
-    # Young's relaxation factor for the grid's bounding box; the last string
-    # is the measure pinned from the square-side factor it replaced
+    # masked fields are pinned bit for bit from conjugate gradients
+    # preconditioned by the box solve; the last string is the measure pinned
+    # from the red-black SOR with Young's relaxation factor it replaced
     def test_l_shaped_field_with_exterior_is_pinned(self):
         _assert_field_pinned(
             _l_shaped_problem(),
-            "420df5042d86aa614e27919caf41bf9c57db3dea9a8d762770412cfbe618a0e2",
+            "22a761b979ac57d946a998158c5b15d619d5c5e446cb22ea7e552b338b28fcd1",
+            "0.013482247548789204",
             "0.013482247548832585",
-            "0.013482247548782694",
         )
 
-    # disk120 is masked (SOR, the last string from the square-side factor);
-    # the rest are boxes (the direct solve, the last string from SOR): a
-    # mixed-parity inner view, a one-cell and a one-row inner view, and even
-    # rows by odd columns
+    # disk120 is masked (CG, the last string from SOR); the rest are boxes
+    # (the direct solve, the last string from SOR as well): a mixed-parity
+    # inner view, a one-cell and a one-row inner view, and even rows by odd
+    # columns
     @pytest.mark.parametrize(
         "make, digest, value, parent",
         [
             (
                 lambda: disk_problem(120, 0j),
-                "84d8b09a98942bf2064a1e200882c538f42ae76491133c933b484af466e8ecf7",
+                "956e39067c982fa56f9c581188ec816ea4c52b71892d69007e7235586baeaf53",
+                "0.5000000000004188",
                 "0.49999999994576194",
-                "0.49999999996020417",
             ),
             (
                 lambda: rectangle_problem(3.0, 1.7, 31, 0.5 + 0.5j),
@@ -282,6 +282,20 @@ class TestGridOracle:
             tracemalloc.stop()
         assert peak < 1.5 * field_bytes
 
+    def test_masked_solve_holds_seven_fields(self):
+        # conjugate gradients keep the field and the search direction as full
+        # fields, the residual, its preconditioned copy and A p on the inner
+        # box, and the box solve's batches: about 6.2 fields on disk120
+        p = disk_problem(120, 0j)
+        field_bytes = p.labels.size * np.dtype(np.float64).itemsize
+        tracemalloc.start()
+        try:
+            solve_grid(p)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 7 * field_bytes
+
     def test_box_residual_below_attainable_raises(self):
         # the direct solve's residual is about 1e-15; the check after it
         # refuses a tolerance the field does not meet
@@ -289,49 +303,61 @@ class TestGridOracle:
             solve_grid(square_problem(11, 0.5 + 0.5j), tol=1e-300)
 
     def test_iteration_budget_raises_on_a_masked_grid(self, monkeypatch):
-        monkeypatch.setattr(exact, "_SOR_MAX_ITERATIONS", 5)
-        with pytest.raises(ConvergenceError, match="SOR"):
+        # CG needs 11 iterations on the L-shape
+        monkeypatch.setattr(exact, "_CG_MAX_ITERATIONS", 5)
+        with pytest.raises(ConvergenceError, match="CG"):
             solve_grid(_l_shaped_problem())
 
-    def test_sweep_budget_on_the_disk(self, monkeypatch):
-        # SOR with Young's factor meets tol on disk120 after 433 sweeps, and
-        # the check every 32 sweeps sees it after sweep 449
-        monkeypatch.setattr(exact, "_SOR_MAX_ITERATIONS", 481)
+    def test_iteration_budget_on_the_disk(self, monkeypatch):
+        # CG meets tol on disk120 after 26 iterations
+        monkeypatch.setattr(exact, "_CG_MAX_ITERATIONS", 28)
         solve_grid(disk_problem(120, 0j))
+        monkeypatch.setattr(exact, "_CG_MAX_ITERATIONS", 25)
+        with pytest.raises(ConvergenceError, match="CG"):
+            solve_grid(disk_problem(120, 0j))
 
     @pytest.mark.parametrize("rows", range(3, 12))
     def test_box_solve_matches_a_dense_solve(self, rows):
-        # the 5-point system assembled cell by cell and solved densely, on
-        # boxes of every row and column parity with random boundary labels
-        rng = np.random.default_rng(rows)
+        # the 5-point system over the interior cells, assembled cell by cell
+        # and solved densely: on boxes of every row and column parity with
+        # random boundary labels, and on the same boxes with about a fifth of
+        # the inner cells (never the evaluation cell) labeled one or zero,
+        # which CG solves
+        rng, mask_rng = np.random.default_rng(rows), np.random.default_rng(100 + rows)
+        known = np.array([ONE, ZERO], dtype=np.int8)
         for cols in range(3, 12):
-            labels = rng.choice(np.array([ONE, ZERO], dtype=np.int8), size=(rows, cols))
-            labels[1:-1, 1:-1] = INTERIOR
-            u = solve_grid(GridProblem(labels, 1.0, 1 + 1j))
-            m, n = rows - 2, cols - 2
-            a, b = 4.0 * np.eye(m * n), np.zeros(m * n)
-            for i in range(1, rows - 1):
-                for j in range(1, cols - 1):
-                    k = (i - 1) * n + (j - 1)
-                    for ni, nj in ((i - 1, j), (i + 1, j), (i, j - 1), (i, j + 1)):
-                        if labels[ni, nj] == INTERIOR:
-                            a[k, (ni - 1) * n + (nj - 1)] = -1.0
+            box = rng.choice(known, size=(rows, cols))
+            box[1:-1, 1:-1] = INTERIOR
+            masked = box.copy()
+            hit = mask_rng.random((rows - 2, cols - 2)) < 0.2
+            hit[0, 0] = False
+            masked[1:-1, 1:-1][hit] = mask_rng.choice(known, size=int(hit.sum()))
+            for labels, tol in ((box, 1e-10), (masked, 1e-13)):
+                u = solve_grid(GridProblem(labels, 1.0, 1 + 1j), tol=tol)
+                cells = [tuple(c) for c in np.argwhere(labels == INTERIOR)]
+                column = {c: k for k, c in enumerate(cells)}
+                a, b = 4.0 * np.eye(len(cells)), np.zeros(len(cells))
+                for k, (i, j) in enumerate(cells):
+                    for nb in ((i - 1, j), (i + 1, j), (i, j - 1), (i, j + 1)):
+                        if nb in column:
+                            a[k, column[nb]] = -1.0
                         else:
-                            b[k] += labels[ni, nj] == ONE
-            want = np.linalg.solve(a, b).reshape(m, n)
-            assert np.max(np.abs(u[1:-1, 1:-1] - want)) < 1e-12
-            assert np.array_equal(u[labels != INTERIOR], (labels == ONE)[labels != INTERIOR])
+                            b[k] += labels[nb] == ONE
+                interior = labels == INTERIOR
+                assert np.max(np.abs(u[interior] - np.linalg.solve(a, b))) < 1e-12
+                assert np.array_equal(u[~interior], (labels == ONE)[~interior])
 
     @pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan, math.inf])
     def test_tolerance_must_be_positive_and_finite(self, monkeypatch, tol):
-        # a bad tolerance is rejected up front; with no iteration budget a
-        # solver that only meets it in the loop fails fast with the wrong error
-        monkeypatch.setattr(exact, "_SOR_MAX_ITERATIONS", 0)
-        p = square_problem(11, 0.5 + 0.5j)
-        with pytest.raises(GridError):
-            solve_grid(p, tol=tol)
-        with pytest.raises(GridError):
-            grid_laplace_measure(p, tol=tol)
+        # a bad tolerance is rejected up front, on a box and on a masked grid;
+        # with no iteration budget a solver that only meets it in the loop
+        # fails fast with the wrong error
+        monkeypatch.setattr(exact, "_CG_MAX_ITERATIONS", 0)
+        for p in (square_problem(11, 0.5 + 0.5j), _l_shaped_problem()):
+            with pytest.raises(GridError):
+                solve_grid(p, tol=tol)
+            with pytest.raises(GridError):
+                grid_laplace_measure(p, tol=tol)
 
     def test_two_by_two_interior_exact_value(self):
         labels = np.array(

@@ -178,10 +178,10 @@ class TestKernel:
         assert 0.0 < _dist(-1 + 1e-160j, wall) != 1e-160
         # below about 1.5e-162 the square underflows and the distance reads 0
         assert _dist(-1 + 1e-163j, wall) == 0.0
-        # above about 1.3e154 the square overflows and the distance reads inf
+        # above about 1.3e154 the square overflows and the distance reads
+        # inf, without numpy's overflow warning
         assert _dist(-1 + 1e154j, wall) == 1e154
-        with np.errstate(over="ignore"):
-            assert _dist(-1 + 1e155j, wall) == math.inf
+        assert _dist(-1 + 1e155j, wall) == math.inf
 
     def test_zero_on_features_and_ties_go_first(self):
         feats = [(HalfLine(0j), "upper"), (HalfLine(2j), "lower"),

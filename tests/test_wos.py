@@ -162,6 +162,20 @@ class TestEstimator:
             estimate_upper_measure(pseudo_strip(1.0, 3.0, 8.0), 1e155 + 0j, WosParams(walkers=10))
         assert "shell" not in str(info.value)
 
+    def test_overflowing_feature_distance_is_inf_in_the_walk(self):
+        # a tooth more than about 1.3e154 start distances away squares to inf
+        # in the walk's kernel, the right distance for it, without numpy's
+        # overflow warning; the tally is the one without that tooth
+        def tally(anchors):
+            teeth = tuple(Tooth(HalfLine(a), label) for a, label in anchors)
+            est = estimate_upper_measure(
+                CombDomain(teeth, "forward", 1), 0j, WosParams(walkers=3000, seed=1)
+            )
+            return dataclasses.replace(est, elapsed=0.0)
+
+        pair = [(0.5 + 1j, "upper"), (0.5 - 3j, "lower")]
+        assert tally(pair + [(0.5 + 1e160j, "upper")]) == tally(pair)
+
     def test_features_inside_one_shell_are_named(self):
         # from 1e150 the teeth 2 apart lie within 2e-150 start distances of
         # each other: every distance ties, and the estimate read 1.0 with
