@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BuildError, DomainError, PlanError
-from .geometry import FeatureArrays, HalfLine, HSegment, RectWitness
+from .geometry import FeatureArrays, HalfLine, RectWitness
 
 __all__ = [
     "CombDomain",
@@ -54,7 +54,7 @@ DOMAIN_SCHEMA = "combslope/domain-v1"
 
 FORWARD = "forward"
 BACKWARD = "backward"
-SEAL_GAP = "seal_gap"      # add the ceiling segment over one block (domain shrinks)
+SEAL_GAP = "seal_gap"      # continue one upper tooth across a block (domain shrinks)
 DROP_TOOTH = "drop_tooth"  # delete one upper tooth (domain grows)
 
 _RESIDUAL_TOL = 1e-12
@@ -419,27 +419,13 @@ class CombDomain:
 
 
 @dataclass(frozen=True)
-class SurgeryVariant:
+class SurgeryVariant(CombDomain):
     """A comb with one block sealed (domain shrinks) or one tooth dropped
-    (domain grows); the base comb always lies between the two variants."""
+    (domain grows); the base comb always lies between the two variants.
+    ``kind`` and ``k`` name the surgery that made it (see :func:`surgery`)."""
 
-    base: CombDomain
     kind: str
     k: int
-    segment: HSegment | None
-
-    def features(self) -> tuple[tuple[object, str], ...]:
-        feats = list(self.base.features())
-        if self.kind == SEAL_GAP:
-            assert self.segment is not None
-            label = "upper" if self.segment.y > 0 else "lower"
-            feats.append((self.segment, label))
-        else:
-            del feats[2 * self.k - 2]  # the k-th upper tooth
-        return tuple(feats)
-
-    def contains(self, p: complex) -> bool:
-        return boundary_distance(self, p)[0] > 0.0
 
 
 def build_comb(plan: SequencePlan) -> CombDomain:
@@ -557,26 +543,28 @@ def _verify_witness(plan: SequencePlan, rect: RectWitness) -> None:
 def surgery(domain: CombDomain, kind: str, k: int) -> SurgeryVariant:
     """Build the sealed (smaller) or tooth-dropped (larger) comparison domain.
 
-    ``seal_gap`` adds the horizontal boundary segment at the k-th upper
-    tooth height that continues that tooth rightward, across one block
-    beyond its anchor: on a forward comb from the anchor ``U_{2k-1}`` to
-    the next anchor ``U_{2k}``, on a backward comb from ``-U_{2k-1}`` to
-    the previous anchor ``-U_{2k-2}`` (``U_0 = 0``).  ``drop_tooth``
-    removes the k-th upper tooth entirely.
+    ``seal_gap`` continues the k-th upper tooth rightward across one block
+    beyond its anchor, so that tooth is anchored at the far end instead: on
+    a forward comb at the next anchor ``U_{2k}``, on a backward comb at the
+    previous anchor ``-U_{2k-2}`` (``U_0 = 0``).  ``drop_tooth`` removes
+    the k-th upper tooth entirely.  Either way the result is a comb.
     """
     if kind not in (SEAL_GAP, DROP_TOOTH):
         raise DomainError(f"unknown surgery kind {kind!r}")
     if not 1 <= k <= domain.truncation_count:
         raise DomainError(f"surgery index {k} out of range 1..{domain.truncation_count}")
+    teeth = list(domain.teeth)
+    i = 2 * k - 2  # the k-th upper tooth
     if kind == DROP_TOOTH:
-        return SurgeryVariant(domain, kind, k, None)
-    a1 = domain.teeth[2 * k - 2].ray.anchor
-    if domain.direction == FORWARD:
-        x_end = domain.teeth[2 * k - 1].ray.anchor.real
+        del teeth[i]
     else:
-        x_end = domain.teeth[2 * k - 3].ray.anchor.real if k > 1 else 0.0
-    seg = HSegment(a1.real, x_end, a1.imag)
-    return SurgeryVariant(domain, kind, k, seg)
+        if domain.direction == FORWARD:
+            x_end = teeth[i + 1].ray.anchor.real
+        else:
+            x_end = teeth[i - 1].ray.anchor.real if k > 1 else 0.0
+        sealed = HalfLine(complex(x_end, teeth[i].ray.anchor.imag))
+        teeth[i] = Tooth(sealed, teeth[i].label)
+    return SurgeryVariant(tuple(teeth), domain.direction, domain.truncation_count, kind, k)
 
 
 # ---------------------------------------------------------------------------

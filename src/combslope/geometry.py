@@ -43,7 +43,6 @@ __all__ = [
     "DiskMobius",
     "FeatureArrays",
     "HalfLine",
-    "HSegment",
     "LevelArc",
     "RectWitness",
     "TangentRay",
@@ -84,33 +83,11 @@ class HalfLine:
         require_finite(self.anchor)
 
 
-@dataclass(frozen=True)
-class HSegment:
-    """Horizontal segment from ``(x_lo, y)`` to ``(x_hi, y)``.
-
-    Distances are measured to the closed segment; whether the endpoints
-    belong to the represented point set depends on the caller (rectangle
-    borders are open, surgery segments are half-open) and never affects a
-    distance.
-    """
-
-    x_lo: float
-    x_hi: float
-    y: float
-
-    def __post_init__(self) -> None:
-        require_finite(complex(self.x_lo, self.y))
-        require_finite(complex(self.x_hi, 0.0))
-        if not self.x_lo < self.x_hi:
-            raise DomainError(f"segment needs x_lo < x_hi, got [{self.x_lo}, {self.x_hi}]")
-
-
 class FeatureArrays:
-    """Labeled boundary features flattened to numpy arrays.
+    """Labeled half-lines flattened to numpy arrays.
 
     ``features`` holds ``(geometry, label)`` pairs, each geometry a
-    :class:`HalfLine` or an :class:`HSegment` and each label ``"upper"`` or
-    ``"lower"``; every half-line comes before any segment, so index ``i``
+    :class:`HalfLine` and each label ``"upper"`` or ``"lower"``; index ``i``
     from :meth:`distances` and ``is_upper[i]`` belong to feature ``i``.
     Coordinates are stored as ``(z - origin) / scale``.
 
@@ -123,33 +100,24 @@ class FeatureArrays:
     """
 
     def __init__(self, features, origin: complex = 0j, scale: float = 1.0):
-        hx, hy, sx0, sx1, sy, upper = [], [], [], [], [], []
+        hx, hy, upper = [], [], []
         for geom, label in features:
-            if isinstance(geom, HalfLine) and not sy:
-                hx.append((geom.anchor.real - origin.real) / scale)
-                hy.append((geom.anchor.imag - origin.imag) / scale)
-            elif isinstance(geom, HSegment):
-                sx0.append((geom.x_lo - origin.real) / scale)
-                sx1.append((geom.x_hi - origin.real) / scale)
-                sy.append((geom.y - origin.imag) / scale)
-            else:
-                raise DomainError(f"expected half-lines, then segments; got {type(geom)!r}")
+            if not isinstance(geom, HalfLine):
+                raise DomainError(f"expected half-lines, got {type(geom)!r}")
+            hx.append((geom.anchor.real - origin.real) / scale)
+            hy.append((geom.anchor.imag - origin.imag) / scale)
             upper.append(label == "upper")
         # 0-d arrays: numpy broadcasts them faster than Python floats
         self.halflines = [tuple(map(np.array, h)) for h in zip(hx, hy)]
-        self.segments = [tuple(map(np.array, g)) for g in zip(sx0, sx1, sy)]
         self.is_upper = np.asarray(upper, dtype=bool)
-        # each feature as a piece of the line Im = wall_y, from x_lo to x_hi
-        self.x_lo = np.asarray([-np.inf] * len(hx) + sx0, dtype=float)
-        self.x_hi = np.asarray(hx + sx1, dtype=float)
-        self.wall_y = np.asarray(hy + sy, dtype=float)
+        # each feature as the part of the line Im = wall_y left of x_hi
+        self.x_hi = np.asarray(hx, dtype=float)
+        self.wall_y = np.asarray(hy, dtype=float)
 
     def _each(self, x: np.ndarray, y: np.ndarray):
-        """Yield the points' squared distances to each closed feature in
-        turn, 0 exactly on it: ``(y - hy)**2 + max(x - hx, 0)**2`` to a
-        half-line, ``(y - sy)**2 + (x - clip(x, x0, x1))**2`` to a segment.
-        Every yield reuses one buffer, so use it before asking for the
-        next."""
+        """Yield the points' squared distances to each closed half-line in
+        turn, ``(y - hy)**2 + max(x - hx, 0)**2``, 0 exactly on it.  Every
+        yield reuses one buffer, so use it before asking for the next."""
         dx = np.empty_like(x)
         d = np.empty_like(x)
         for hx, hy in self.halflines:
@@ -158,14 +126,6 @@ class FeatureArrays:
             np.maximum(dx, _ZERO, out=dx)
             np.multiply(dx, dx, out=dx)
             np.subtract(y, hy, out=d)
-            np.multiply(d, d, out=d)
-            d += dx
-            yield d
-        for x0, x1, sy in self.segments:
-            np.clip(x, x0, x1, out=dx)
-            np.subtract(x, dx, out=dx)
-            np.multiply(dx, dx, out=dx)
-            np.subtract(y, sy, out=d)
             np.multiply(d, d, out=d)
             d += dx
             yield d
@@ -205,13 +165,11 @@ class FeatureArrays:
         return np.sqrt(near, out=near)
 
     def end_distance(self, x: np.ndarray, index: np.ndarray) -> np.ndarray:
-        """Distance along the wall from abscissa ``x`` to the nearer end of
-        feature ``index``: positive where ``x`` lies strictly inside it."""
+        """Distance along the wall from abscissa ``x`` to the end of feature
+        ``index``: positive where ``x`` lies strictly inside it."""
         out = self.x_hi[index]
         out -= x
-        lo = self.x_lo[index]
-        np.subtract(x, lo, out=lo)
-        return np.minimum(out, lo, out=out)
+        return out
 
 
 @dataclass(frozen=True)
@@ -256,12 +214,6 @@ class RectWitness:
             abs(p.real - self.center.real) < self.width / 2.0
             and self.y_lo < p.imag < self.y_hi
         )
-
-    def horizontal_border(self) -> tuple[HSegment, HSegment]:
-        """The top and bottom open border segments (endpoints excluded)."""
-        top = HSegment(self.x_lo, self.x_hi, self.y_hi)
-        bottom = HSegment(self.x_lo, self.x_hi, self.y_lo)
-        return top, bottom
 
 
 @dataclass(frozen=True)

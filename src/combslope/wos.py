@@ -12,13 +12,13 @@ could have hit either class).
 Half-disk steps: near a flat wall a circle step only halves the distance
 to it on average, so a walker would spend most of its steps creeping into
 the shell.  A walker close to the inside of its nearest feature (a
-half-line or segment) instead leaves the half-disk of radius ``R`` on the
+leftward half-line) instead leaves the half-disk of radius ``R`` on the
 feature, clear of every other feature, in one exact step: absorbed on the
 feature with probability ``1 - 4 atan(d/R) / pi``, else onto the half-disk's
 arc by the Cauchy exit law of the map ``((R + z)/(R - z))^2`` onto the
 upper half-plane (Muller 1956; Sabelfeld 1991).  It draws the same one
 angle per step, so ``walker_steps`` counts angle draws either way.  The
-shell still absorbs walkers that reach a tip or a segment's end.
+shell still absorbs walkers that reach a tip.
 
 Reproducibility: angle draws come from a counter-based stream, one value
 per (seed, walker index, step index), so results are bit-identical for a
@@ -208,9 +208,8 @@ def estimate_upper_measure(
         )
     feats = _FeatureArrays(domain.features(), origin=point, scale=scale)
     if feats.is_upper.any() and not feats.is_upper.all():
-        # the bounding box of the features' finite ends, in the walkers' units
-        xs = np.concatenate((feats.x_hi, feats.x_lo[np.isfinite(feats.x_lo)]))
-        span = math.hypot(np.ptp(xs), np.ptp(feats.wall_y))
+        # the bounding box of the features' tips, in the walkers' units
+        span = math.hypot(np.ptp(feats.x_hi), np.ptp(feats.wall_y))
         if not span > params.epsilon_shell:
             raise EstimationError(
                 f"start point {point} sees the features within {span} of each other "
@@ -314,7 +313,7 @@ def _half_disk_steps(feats, x, y, near, second, index, theta, candidates):
 
     A walker at distance ``d`` from its nearest feature, whose foot point
     ``p`` lies strictly inside it, owns the half-disk of radius
-    ``R = min(end distance of p, d2 - d)`` around ``p`` on its side:
+    ``R = min(distance of p from the tip, d2 - d)`` around ``p`` on its side:
     every other feature is at least ``d + R`` from the walker.  Where
     ``d < R/2`` the walker leaves that half-disk in one step.  With
     ``phi = 4 atan(d/R)`` and the walker's uniform ``U = theta / 2 pi``,

@@ -15,7 +15,7 @@ import pytest
 
 import combslope as cs
 from combslope.analyzer import calibrate_widths, verify_construction
-from combslope.comb import DROP_TOOTH, SEAL_GAP, midpoints, surgery
+from combslope.comb import DROP_TOOTH, SEAL_GAP, anchor_target, midpoints, surgery
 from combslope.exact import (
     disk_problem,
     grid_laplace_measure,
@@ -312,3 +312,45 @@ def test_surgery_ordering(forward_run):
     assert len(rows) + 1 >= 10
     assert all(r.status == "pass" for r in rows)
     assert extra_ok
+
+
+def test_calibrated_plans_verify_across_intervals():
+    # the paper's construction holds for any interval: narrow, wide and
+    # hugging either end, forward and backward, and the full interval; each
+    # endpoint must lie within its report's own limit band of the limit the
+    # truncated comb reaches, its extreme anchor target
+    t0 = time.perf_counter()
+    params = WosParams(walkers=20_000, seed=42)
+    plans = []
+    for lo, hi in ((-0.45, 0.45), (-0.1, 0.1), (-0.45, -0.40), (0.40, 0.45)):
+        plans.append(cs.plan_forward(lo * math.pi, hi * math.pi, 6.0, 4))
+        plans.append(cs.plan_backward(lo * math.pi, hi * math.pi, 1 / 3, 4))
+    plans.append(cs.plan_backward_special("full_interval", 1.0, 4))
+    failures, worst = [], 0.0
+    for plan in plans:
+        plan = calibrate_widths(plan, params)
+        report = verify_construction(plan, params)
+        name = (f"{plan.direction} {plan.special or ''} targets "
+                f"{plan.target_limsup:.3f}, {plan.target_liminf:.3f}")
+        if report.overall != "pass":  # every row passed, none inconclusive
+            failures.append(f"{name}: overall {report.overall}")
+        # forward combs carry the limsup plateau on odd anchors, backward on even
+        forward = plan.direction == "forward"
+        high = [anchor_target(plan, r.n) for r in report.anchor_rows if (r.n % 2 == 1) == forward]
+        low = [anchor_target(plan, r.n) for r in report.anchor_rows if (r.n % 2 == 1) != forward]
+        reached_sup, reached_inf = max(high), min(low)
+        for end, got, want, band in (
+            ("lo", report.interval.lo, math.pi * (0.5 - reached_sup), report.limits.limsup_band),
+            ("hi", report.interval.hi, math.pi * (0.5 - reached_inf), report.limits.liminf_band),
+        ):
+            worst = max(worst, abs(got - want) / (math.pi * band))
+            if abs(got - want) > math.pi * band:
+                failures.append(
+                    f"{name}: {end} {got / math.pi:+.4f} pi, want {want / math.pi:+.4f} pi")
+    _report(
+        "calibrated plans verify across intervals",
+        not failures,
+        f"{len(plans)} plans, worst endpoint at {worst:.2f} of its band, "
+        f"{time.perf_counter() - t0:.1f}s",
+    )
+    assert not failures, failures

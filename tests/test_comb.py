@@ -5,6 +5,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from combslope.comb import (
     DROP_TOOTH,
@@ -244,11 +246,11 @@ class TestWitnessRect:
                 )
                 if rect.contains(p):
                     assert domain.contains(p)
-            top, bottom = rect.horizontal_border()
-            for seg in (top, bottom):
+            # the open top and bottom borders
+            for y in (rect.y_hi, rect.y_lo):
                 for frac in (0.01, 0.5, 0.99):
-                    x = seg.x_lo + frac * (seg.x_hi - seg.x_lo)
-                    d, _ = boundary_distance(domain, complex(x, seg.y))
+                    x = rect.x_lo + frac * rect.width
+                    d, _ = boundary_distance(domain, complex(x, y))
                     assert d == pytest.approx(0.0, abs=1e-9)
 
     def test_backward_shifted_indices(self):
@@ -313,17 +315,28 @@ class TestBlockCap:
         witness_rect(plan, 13)
 
 
+def _piece_distance(p: complex, lo: float, hi: float, y: float) -> float:
+    """Distance from ``p`` to the closed horizontal piece from ``lo`` to
+    ``hi`` at height ``y``, in plain Python."""
+    dy = p.imag - y
+    if lo <= p.real <= hi:
+        return abs(dy)  # sqrt(dy * dy) == |dy| in doubles
+    dx = p.real - hi if p.real > hi else lo - p.real
+    return math.sqrt(dx * dx + dy * dy)
+
+
 class TestSurgery:
     def test_seal_gap_turns_interior_into_boundary(self, six_plan_widths):
         domain = build_comb(six_plan_widths)
         sealed = surgery(domain, SEAL_GAP, 1)
-        p = 15 + 6j  # on the sealed segment between the first two anchors
+        p = 15 + 6j  # on the first tooth, continued to the second anchor
         assert domain.contains(p)
         assert not sealed.contains(p)
 
     def test_backward_seal_continues_the_tooth_rightward(self):
         # backward teeth extend left from -U_j, so the seal over block 2k - 1
-        # runs from -U_{2k-1} to -U_{2k-2} (U_0 = 0), off the tooth itself
+        # moves the k-th upper tooth's anchor from -U_{2k-1} to -U_{2k-2}
+        # (U_0 = 0), and leaves every other tooth where it was
         plan = assign_widths(
             plan_backward(-math.pi / 4, math.pi / 6, 6.0, 2), [200 * (i + 1) ** 2 for i in range(5)]
         )
@@ -331,16 +344,45 @@ class TestSurgery:
         u = (0.0, *plan.cum_widths)
         for k in (1, 2):
             sealed = surgery(domain, SEAL_GAP, k)
-            seal = sealed.segment
+            i = 2 * k - 2
             height = plan.tooth_height(2 * k - 1)
-            assert (seal.x_lo, seal.x_hi, seal.y) == (-u[2 * k - 1], -u[2 * k - 2], height)
-            p = complex((seal.x_lo + seal.x_hi) / 2, height)
+            assert sealed.teeth[i].ray.anchor == complex(-u[2 * k - 2], height)
+            assert sealed.teeth[i].label == "upper"
+            assert sealed.teeth[:i] == domain.teeth[:i]
+            assert sealed.teeth[i + 1:] == domain.teeth[i + 1:]
+            p = complex(-(u[2 * k - 1] + u[2 * k - 2]) / 2, height)
             assert domain.contains(p)
             assert not sealed.contains(p)
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(st.data())
+    def test_sealed_comb_is_the_tooth_and_its_seal(self, six_plan_widths, data):
+        # the k-th upper tooth plus the seal segment [anchor, x_end] at its
+        # height is the tooth anchored at x_end, so the sealed comb's
+        # distance is the distance to that union, bit for bit
+        backward = assign_widths(
+            plan_backward(-math.pi / 4, math.pi / 6, 6.0, 2), [200 * (i + 1) ** 2 for i in range(5)]
+        )
+        for plan in (six_plan_widths, backward):
+            domain = build_comb(plan)
+            u = (0.0, *plan.cum_widths)
+            for k in range(1, domain.truncation_count + 1):
+                sealed = surgery(domain, SEAL_GAP, k)
+                tip = domain.teeth[2 * k - 2].ray.anchor
+                x_end = u[2 * k] if plan.direction == "forward" else -u[2 * k - 2]
+                pieces = [(-math.inf, t.ray.anchor.real, t.ray.anchor.imag) for t in domain.teeth]
+                pieces.append((tip.real, x_end, tip.imag))
+                xs = st.floats(tip.real - 30.0, x_end + 30.0) | st.sampled_from([tip.real, x_end])
+                ys = st.sampled_from([0.0, 1e-9, -1e-9, 0.5, -3.0]).map(lambda dy: tip.imag + dy)
+                far = st.builds(complex, st.floats(-3e3, 3e3), st.floats(-5e3, 5e3))
+                for p in data.draw(st.lists(st.builds(complex, xs, ys) | far, min_size=4)):
+                    ref = min(_piece_distance(p, *piece) for piece in pieces)
+                    assert boundary_distance(sealed, p)[0] == ref
 
     def test_drop_tooth_opens_the_anchor(self, six_plan_widths):
         domain = build_comb(six_plan_widths)
         dropped = surgery(domain, DROP_TOOTH, 1)
+        assert dropped.teeth == domain.teeth[1:]
         assert not domain.contains(10 + 6j)
         assert dropped.contains(10 + 6j)
 
@@ -428,13 +470,14 @@ class TestBoundaryDistance:
             assert pseudo_strip(1.0, 3.0, 8.0).contains(1e155 + 0j)
             assert boundary_distance(pseudo_strip(1.0, 1.0, 2.0), 1e155 + 0j)[0] == math.inf
 
-    def test_segments_must_follow_half_lines(self, six_plan_widths):
-        # the kernel's rows follow the features; a reordered list is refused
+    def test_non_half_line_features_are_refused(self, six_plan_widths):
+        # the kernel measures leftward half-lines only; other geometry is named
         domain = build_comb(six_plan_widths)
-        seal = surgery(domain, SEAL_GAP, 2)
-        reordered = SimpleNamespace(features=lambda: ((seal.segment, "upper"), *domain.features()))
-        with pytest.raises(DomainError):
-            boundary_distance(reordered, 5 + 0j)
+        feats = domain.features()
+        for other in (witness_rect(six_plan_widths, 1), 10 + 6j):
+            for odd in (((other, "upper"), *feats), (*feats, (other, "upper"))):
+                with pytest.raises(DomainError, match="half-lines"):
+                    boundary_distance(SimpleNamespace(features=lambda: odd), 5 + 0j)
 
 
 class TestClassifyHit:

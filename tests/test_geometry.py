@@ -11,7 +11,6 @@ from combslope.geometry import (
     BoundaryArc,
     FeatureArrays,
     HalfLine,
-    HSegment,
     RectWitness,
     level_set_arc,
     mobius_to_zero,
@@ -63,59 +62,33 @@ class TestHalfLine:
             HalfLine(complex(math.nan, 0))
 
 
-class TestHSegment:
-    def test_distance_clamps(self):
-        s = HSegment(-1.0, 2.0, 1.0)
-        assert _dist(0.5 + 1j, s) == 0.0
-        assert _dist(3 + 1j, s) == 1.0
-        assert _dist(0 + 0j, s) == 1.0
-        assert _dist(5 + 2j, s) == abs(3 + 1j)
-
-    def test_needs_positive_extent(self):
-        with pytest.raises(DomainError):
-            HSegment(1.0, 1.0, 0.0)
-
-
 # small integer coordinates make ties and exact hits common
 coords = st.one_of(st.integers(-3, 3).map(float), finite_floats)
 
 
 @st.composite
 def feature_sets(draw):
-    """Half-lines first, then segments, as FeatureArrays requires."""
     labels = st.sampled_from(["upper", "lower"])
-    halves = draw(st.lists(st.builds(complex, coords, coords), min_size=1, max_size=4))
-    feats = [(HalfLine(a), draw(labels)) for a in halves]
-    for _ in range(draw(st.integers(0, 3))):
-        x_lo = draw(coords)
-        x_hi = x_lo + draw(st.sampled_from([1.0, 2.5]) | st.floats(0.01, 20))
-        feats.append((HSegment(x_lo, x_hi, draw(coords)), draw(labels)))
-    return feats
+    halves = draw(st.lists(st.builds(complex, coords, coords), min_size=1, max_size=7))
+    return [(HalfLine(a), draw(labels)) for a in halves]
 
 
 @st.composite
 def probe_points(draw, feats):
     """Free points, points straight above or below an anchor (dx == 0.0),
-    a point at -0.0 beside an anchor at 0.0 (dx == -0.0), and points on
-    segments."""
+    and a point at -0.0 beside an anchor at 0.0 (dx == -0.0)."""
     pts = draw(st.lists(st.builds(complex, coords, coords), max_size=6))
     for geom, _ in feats:
-        if isinstance(geom, HalfLine):
-            pts.append(complex(geom.anchor.real, draw(coords)))
-        else:
-            pts.append(complex(draw(st.floats(geom.x_lo, geom.x_hi)), geom.y))
+        pts.append(complex(geom.anchor.real, draw(coords)))
     pts.append(complex(-0.0, draw(coords)))
     return pts
 
 
 def _reference(p: complex, geom) -> float:
-    """One feature's squared distance by the per-feature formula the kernel
-    folds."""
+    """One half-line's squared distance by the per-feature formula the
+    kernel folds."""
     x, y = np.array([p.real]), np.array([p.imag])
-    if isinstance(geom, HalfLine):
-        dx, dy = np.maximum(x - geom.anchor.real, 0.0), y - geom.anchor.imag
-    else:
-        dx, dy = x - np.clip(x, geom.x_lo, geom.x_hi), y - geom.y
+    dx, dy = np.maximum(x - geom.anchor.real, 0.0), y - geom.anchor.imag
     return float((dy * dy + dx * dx)[0])
 
 
@@ -142,8 +115,8 @@ class TestKernel:
 
     def test_distance_within_one_ulp_of_hypot(self):
         feats = [(HalfLine(0j), "upper"), (HalfLine(complex(-3e90, 2e100)), "lower"),
-                 (HSegment(-1e120, 5e119, -1e130), "lower"),
-                 (HSegment(-1e-100, 1e-90, 1e-120), "upper")]
+                 (HalfLine(complex(5e119, -1e130)), "lower"),
+                 (HalfLine(complex(1e-90, 1e-120)), "upper")]
         rng = np.random.default_rng(12)
         n = 200_000
         x = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-150, 150, n)
@@ -152,10 +125,7 @@ class TestKernel:
         near = FeatureArrays(feats).distances(x, y, second, index)
         refs = np.empty((len(feats), n))
         for f, (geom, _) in enumerate(feats):
-            if isinstance(geom, HalfLine):
-                dx, dy = np.maximum(x - geom.anchor.real, 0.0), y - geom.anchor.imag
-            else:
-                dx, dy = x - np.clip(x, geom.x_lo, geom.x_hi), y - geom.y
+            dx, dy = np.maximum(x - geom.anchor.real, 0.0), y - geom.anchor.imag
             refs[f] = np.hypot(dx, dy)
         refs.sort(axis=0)
         for got, ref in ((near, refs[0]), (second, refs[1])):
@@ -185,7 +155,7 @@ class TestKernel:
 
     def test_zero_on_features_and_ties_go_first(self):
         feats = [(HalfLine(0j), "upper"), (HalfLine(2j), "lower"),
-                 (HSegment(-1.0, 1.0, 0.0), "lower"), (HSegment(-1.0, 1.0, 2.0), "upper")]
+                 (HalfLine(3 + 0j), "lower"), (HalfLine(3 + 2j), "upper")]
         arrays = FeatureArrays(feats)
         x, y = np.array([-0.0, 0.0, 0.5, 0.5]), np.array([1.0, 1.0, 0.0, 2.0])
         second, index = np.empty_like(x), np.empty(x.shape, dtype=np.intp)
@@ -194,13 +164,13 @@ class TestKernel:
         assert second.tolist() == [1.0, 1.0, 0.5, 0.5]
 
     def test_end_distance_along_the_wall(self):
-        feats = [(HalfLine(1 + 2j), "upper"), (HSegment(-1.0, 3.0, 0.0), "lower")]
+        feats = [(HalfLine(1 + 2j), "upper"), (HalfLine(3 + 0j), "lower")]
         arrays = FeatureArrays(feats)
         x = np.array([-5.0, 1.0, 0.0, 2.5, 4.0])
         assert arrays.end_distance(x, np.zeros(5, dtype=np.intp)).tolist() == [
             6.0, 0.0, 1.0, -1.5, -3.0]
         assert arrays.end_distance(x, np.ones(5, dtype=np.intp)).tolist() == [
-            -4.0, 2.0, 1.0, 0.5, -1.0]
+            8.0, 2.0, 3.0, 0.5, -1.0]
 
 
 class TestRectWitness:
@@ -209,12 +179,6 @@ class TestRectWitness:
         assert r.contains(0j)
         assert not r.contains(1 + 0j)  # on the vertical border of the open set
         assert not r.contains(1j)
-
-    def test_horizontal_border_segments(self):
-        r = RectWitness(1j, 2.0, 1.0, 4.0)
-        top, bottom = r.horizontal_border()
-        assert (top.y, top.x_lo, top.x_hi) == (3.0, -2.0, 2.0)
-        assert (bottom.y, bottom.x_lo, bottom.x_hi) == (0.0, -2.0, 2.0)
 
     def test_requires_positive_dims(self):
         with pytest.raises(DomainError):

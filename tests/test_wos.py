@@ -253,8 +253,8 @@ class TestGoldenTallies:
         got = _tally(readme_comb, 2880.0, WosParams(walkers=3_000, seed=42))
         assert got == (0.758, 0.007819548154038911, 3000, 0)
 
-    def test_sealed_surgery_segment_branch(self, readme_comb):
-        # just past the end of the sealing segment over block 1
+    def test_sealed_surgery_past_the_seal(self, readme_comb):
+        # just past the sealed first tooth's new anchor, U_2 = 1584
         sealed = surgery(readme_comb, SEAL_GAP, 1)
         got = _tally(sealed, 1590.0, WosParams(walkers=3_000, seed=42))
         assert got == (0.694, 0.008413560482934679, 3000, 0)
@@ -265,13 +265,9 @@ class TestGoldenTallies:
 
 
 def _foot_clearance(p: complex, geom) -> float:
-    """Distance from ``p`` to one closed feature, in plain Python."""
-    x_lo, x_hi, y = (
-        (-math.inf, geom.anchor.real, geom.anchor.imag)
-        if isinstance(geom, HalfLine)
-        else (geom.x_lo, geom.x_hi, geom.y)
-    )
-    return math.hypot(p.real - min(max(p.real, x_lo), x_hi), p.imag - y)
+    """Distance from ``p`` to one closed half-line, in plain Python."""
+    a = geom.anchor
+    return math.hypot(p.real - min(p.real, a.real), p.imag - a.imag)
 
 
 class TestHalfDiskStep:
@@ -284,7 +280,7 @@ class TestHalfDiskStep:
         rng = np.random.default_rng(5)
         # points just off each feature, from deep in its wall to past its end
         k = rng.integers(0, len(geoms), 4_000)
-        lo = np.maximum(feats.x_lo[k], feats.x_hi[k] - 10.0 ** rng.uniform(-3, 4, k.size))
+        lo = feats.x_hi[k] - 10.0 ** rng.uniform(-3, 4, k.size)
         x = rng.uniform(lo - 5.0, feats.x_hi[k] + 5.0)
         y = feats.wall_y[k] + rng.choice([-1, 1], k.size) * 10.0 ** rng.uniform(-4, 1.5, k.size)
         second, index = np.empty_like(x), np.empty(x.shape, dtype=np.intp)
@@ -300,7 +296,7 @@ class TestHalfDiskStep:
             f = index[w]
             foot = complex(x[w], feats.wall_y[f])
             assert 2 * d[w] < r <= d2[w] - d[w]
-            assert r <= min(x[w] - feats.x_lo[f], feats.x_hi[f] - x[w])
+            assert r <= feats.x_hi[f] - x[w]
             # the triangle inequality, up to the rounding of d2 - d
             others = [_foot_clearance(foot, g) for i, g in enumerate(geoms) if i != f]
             assert min(others) >= r * (1.0 - 1e-12)
