@@ -58,6 +58,8 @@ SEAL_GAP = "seal_gap"      # continue one upper tooth across a block (domain shr
 DROP_TOOTH = "drop_tooth"  # delete one upper tooth (domain grows)
 
 _RESIDUAL_TOL = 1e-12
+# a distance at most this has a subnormal square: above sqrt(2.2e-308)
+_SUBNORMAL_ROOT = 1.5e-154
 
 
 @dataclass(frozen=True)
@@ -462,10 +464,19 @@ def boundary_distance(domain, p: complex) -> tuple[float, int]:
     """Distance from ``p`` to the domain boundary and the nearest feature index.
 
     A feature more than about 1.3e154 away reads as ``inf`` (see
-    :meth:`FeatureArrays.distances`).
+    :meth:`FeatureArrays.distances`).  A distance whose square is subnormal
+    or 0 is measured again with one ``hypot`` per feature, which does not
+    square, so a point 1e-163 from a tooth is inside the domain.
     """
-    x, y, index = np.array([p.real]), np.array([p.imag]), np.zeros(1, dtype=np.intp)
-    d = FeatureArrays(domain.features()).distances(x, y, np.empty(1), index)
+    # ``p`` is the origin of the arrays, the centre of their candidate set;
+    # the differences to it are those of the plain frame up to sign
+    x, y, index = np.zeros(1), np.zeros(1), np.zeros(1, dtype=np.intp)
+    feats = FeatureArrays(domain.features(), origin=p)
+    d = feats.distances(x, y, np.empty(1), index)
+    if d[0] <= _SUBNORMAL_ROOT:
+        d = feats.hypot_distances()
+        index[0] = np.argmin(d)
+        d = d[index]
     return float(d[0]), int(index[0])
 
 

@@ -33,6 +33,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -56,6 +57,12 @@ __all__ = [
 _UNIT_TOL = 1e-9
 _TWO_PI = 2.0 * math.pi
 _ZERO = np.array(0.0)
+# local candidate sets (see FeatureArrays.distances): how many features
+# they hold, the relative margin of their two tests, the range of their bounds
+_CANDIDATES = 4
+_MARGIN = 1e-12
+_LIMIT_CAP = 1e150
+_SCALE_FLOOR = 1e-145
 
 
 def require_finite(z: complex) -> complex:
@@ -83,6 +90,16 @@ class HalfLine:
         require_finite(self.anchor)
 
 
+class _Candidates(NamedTuple):
+    """A local candidate set (see :meth:`FeatureArrays.distances`): the
+    features ``C`` as ``(index, hx, hy)`` and the squared bounds of its two
+    tests, margin included."""
+
+    features: list
+    disk_sq: np.ndarray
+    limit_sq: np.ndarray
+
+
 class FeatureArrays:
     """Labeled half-lines flattened to numpy arrays.
 
@@ -97,6 +114,10 @@ class FeatureArrays:
     above about 1.3e154 reads ``inf``.  Walkers are absorbed far above
     that floor (the epsilon shell), and the comb coordinates lie far below
     that ceiling.
+
+    Where the features allow it, the arrays hold a local candidate set
+    around the origin that :meth:`distances` uses to skip the far features
+    (see there); it never changes a result.
     """
 
     def __init__(self, features, origin: complex = 0j, scale: float = 1.0):
@@ -107,35 +128,103 @@ class FeatureArrays:
             hx.append((geom.anchor.real - origin.real) / scale)
             hy.append((geom.anchor.imag - origin.imag) / scale)
             upper.append(label == "upper")
+        # the nearest index runs in the narrowest unsigned type that holds
+        # it: uint8 up to 256 features
+        index_type = np.min_scalar_type(max(len(hx) - 1, 0))
         # 0-d arrays: numpy broadcasts them faster than Python floats
-        self.halflines = [tuple(map(np.array, h)) for h in zip(hx, hy)]
+        self._features = [
+            (np.array(i, dtype=index_type), np.array(x), np.array(y))
+            for i, (x, y) in enumerate(zip(hx, hy))
+        ]
         self.is_upper = np.asarray(upper, dtype=bool)
         # each feature as the part of the line Im = wall_y left of x_hi
         self.x_hi = np.asarray(hx, dtype=float)
         self.wall_y = np.asarray(hy, dtype=float)
+        self._local = self._candidate_set()
 
-    def _each(self, x: np.ndarray, y: np.ndarray):
-        """Yield the points' squared distances to each closed half-line in
-        turn, ``(y - hy)**2 + max(x - hx, 0)**2``, 0 exactly on it.  Every
-        yield reuses one buffer, so use it before asking for the next."""
-        dx = np.empty_like(x)
+    def _candidate_set(self):
+        """The features that can be nearest or second-nearest to a point
+        near the origin, with the two squared bounds that tell such a
+        point; ``None`` where no feature can be skipped.  See
+        :meth:`distances` for the rule and its margin."""
+        dist = self.hypot_distances()
+        ranked = np.sort(dist)
+        if ranked.size <= _CANDIDATES:
+            return None
+        start = ranked[0]
+        gap = (ranked[_CANDIDATES] - start) / 2.0
+        if not _SCALE_FLOOR <= gap < math.inf:
+            return None
+        # the largest power of two at most half the gap to the fifth feature
+        rho = math.ldexp(0.5, math.frexp(gap)[1])
+        near = dist <= start + 2.0 * rho
+        if near.all():
+            return None
+        limit = min(float((dist[~near] - rho).min()), _LIMIT_CAP) * (1.0 - _MARGIN)
+        if not limit >= _SCALE_FLOOR:
+            return None
+        disk = rho * (1.0 - _MARGIN)
+        subset = [f for f, keep in zip(self._features, near) if keep]
+        return _Candidates(subset, np.array(disk * disk), np.array(limit * limit))
+
+    def hypot_distances(self) -> np.ndarray:
+        """Each feature's distance from the origin of the stored frame, by
+        one ``hypot`` per feature: no square, so no range but the double
+        range, where a distance beyond it reads ``inf``."""
+        with np.errstate(over="ignore"):
+            return np.hypot(np.maximum(-self.x_hi, 0.0), self.wall_y)
+
+    @staticmethod
+    def _square(x, y, hx, hy, dx, out):
+        """The points' squared distances to the closed half-line at
+        ``(hx, hy)``, ``(y - hy)**2 + max(x - hx, 0)**2``, 0 exactly on it,
+        into ``out``; ``dx`` is scratch."""
+        # straight above or below the ray dx is 0, so the root is |dy|
+        np.subtract(x, hx, out=dx)
+        np.maximum(dx, _ZERO, out=dx)
+        np.multiply(dx, dx, out=dx)
+        np.subtract(y, hy, out=out)
+        np.multiply(out, out, out=out)
+        out += dx
+
+    def _running_min(self, features, x, y, second, index):
+        """The points' smallest squared distance over ``features``, a list
+        of ``(index, hx, hy)`` in index order; fills ``second`` and
+        ``index`` (see :meth:`distances`) with no masked write.  Per
+        feature, the larger of the old minimum and the new square lowers
+        the second, the new square lowers the minimum, and the index is the
+        last feature that strictly lowered the minimum, so the first one on
+        ties."""
+        second.fill(np.inf)
+        if not features:
+            index.fill(0)
+            return np.full_like(x, np.inf)
+        near = np.empty_like(x)
         d = np.empty_like(x)
-        for hx, hy in self.halflines:
-            # straight above or below the ray dx is 0, so the root is |dy|
-            np.subtract(x, hx, out=dx)
-            np.maximum(dx, _ZERO, out=dx)
-            np.multiply(dx, dx, out=dx)
-            np.subtract(y, hy, out=d)
-            np.multiply(d, d, out=d)
-            d += dx
-            yield d
+        scratch = np.empty_like(x)
+        i, hx, hy = features[0]
+        last = np.full(x.shape, i)
+        lower = np.empty_like(last)
+        with np.errstate(over="ignore"):
+            self._square(x, y, hx, hy, scratch, near)  # the first only sets the minimum
+            for i, hx, hy in features[1:]:
+                self._square(x, y, hx, hy, scratch, d)
+                np.less(d, near, out=lower)
+                lower *= i
+                np.maximum(last, lower, out=last)
+                np.maximum(near, d, out=scratch)
+                np.minimum(second, scratch, out=second)
+                np.minimum(near, d, out=near)
+        np.copyto(index, last)
+        return near
 
     def distances(
         self, x: np.ndarray, y: np.ndarray, second: np.ndarray, index: np.ndarray
     ) -> np.ndarray:
         """Each point's distance to its nearest feature: a running minimum
         over the features' squared distances, one pass each, with no
-        features-by-points matrix, then two square roots per point.
+        features-by-points matrix and no masked write, then two square
+        roots per point.
 
         The same pass fills the caller-owned ``second`` (float) and
         ``index`` (integer) arrays of the points' shape with each point's
@@ -145,22 +234,52 @@ class FeatureArrays:
 
         A feature more than about 1.3e154 away has a square that overflows;
         it reads as ``inf`` without a warning, the right distance for it.
+
+        With a local candidate set every point first runs over the
+        candidates only.  With ``D_k`` feature ``k``'s distance
+        from the origin and ``D_1`` the smallest, ``rho`` is the largest
+        power of two at most ``(D_5 - D_1) / 2`` in sorted order, the
+        candidates are ``C = {k : D_k <= D_1 + 2 rho}``, the four nearest
+        features (and those at ``D_5`` where ``D_1 + 2 rho`` reaches it),
+        and ``L = min over k not in C of D_k - rho``.
+        A point within ``rho`` of the origin is at least ``L`` from every
+        feature outside ``C``, so if its second minimum over ``C`` is
+        below ``L`` its nearest distance, second minimum and index over
+        ``C`` are those over all features, bit for bit: the squares are
+        computed alike, and every skipped square is strictly larger.  Every
+        other point runs over all features.
+
+        Both tests are conservative in floating point: each shrinks its
+        bound by the relative margin 1e-12 before squaring, so a point
+        passes only if ``x**2 + y**2 <= (rho (1 - 1e-12))**2`` and
+        ``second**2 < (L (1 - 1e-12))**2``, computed.  With ``u = 2**-53``,
+        a computed square is within ``5u`` of the exact one; ``L`` is within
+        ``6u`` (one ``hypot`` for ``D_k``, then ``D_k - rho``, which loses
+        at most a factor 2 since ``D_k > 2 rho``); squaring a bound adds
+        ``3u``.  That is under ``25u`` in all, against the margin's
+        ``2e-12``, about ``18000u``.  The bound holds for normal squares
+        only, so ``L`` is capped at 1e150 (a smaller bound is still a
+        bound), and no set is built when half the gap or ``L`` is below
+        1e-145.
         """
-        near = np.full_like(x, np.inf)
-        closer = np.empty(x.shape, dtype=bool)
-        second.fill(np.inf)
-        index.fill(0)
-        with np.errstate(over="ignore"):
-            for i, d in enumerate(self._each(x, y)):
-                if not i:  # the first feature only sets the minimum
-                    np.copyto(near, d)
-                    continue
-                np.less(d, near, out=closer)
-                np.copyto(index, i, where=closer)
-                # the old minimum is the new second where d takes its place
-                np.minimum(second, d, out=second)
-                np.copyto(second, near, where=closer)
-                np.copyto(near, d, where=closer)
+        if self._local is None:
+            near = self._running_min(self._features, x, y, second, index)
+        else:
+            local = self._local
+            near = self._running_min(local.features, x, y, second, index)
+            with np.errstate(over="ignore"):  # inf is outside the disk
+                far = np.multiply(x, x)
+                far += np.multiply(y, y)
+            far = np.greater(far, local.disk_sq)
+            far |= np.greater_equal(second, local.limit_sq)
+            far = np.flatnonzero(far)
+            if far.size:
+                x, y = x.take(far), y.take(far)
+                all_second = np.empty_like(x)
+                all_index = np.empty(x.shape, dtype=index.dtype)
+                near[far] = self._running_min(self._features, x, y, all_second, all_index)
+                second[far] = all_second
+                index[far] = all_index
         np.sqrt(second, out=second)
         return np.sqrt(near, out=near)
 

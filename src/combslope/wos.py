@@ -32,9 +32,12 @@ followed libm's ``cos`` and ``sin`` before.
 
 Memory: walkers run in chunks of ``_CHUNK`` with their global ids, and the
 distance kernel keeps a running minimum, second minimum and nearest index
-per point instead of a features-by-walkers matrix.  An estimate is
-bit-identical for any chunk size, and its memory is bounded by the chunk,
-not by the walker count.
+per point instead of a features-by-walkers matrix, with no masked write.
+An estimate is bit-identical for any chunk size, and its memory is bounded
+by the chunk, not by the walker count.  The kernel is built with the local
+candidate set around the start point: a walker near it is measured against
+the few nearest features only, and every other walker against all of them.
+That set never changes a result (see ``FeatureArrays.distances``).
 """
 
 from __future__ import annotations

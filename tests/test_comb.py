@@ -470,6 +470,19 @@ class TestBoundaryDistance:
             assert pseudo_strip(1.0, 3.0, 8.0).contains(1e155 + 0j)
             assert boundary_distance(pseudo_strip(1.0, 1.0, 2.0), 1e155 + 0j)[0] == math.inf
 
+    def test_underflowing_distance_is_measured_without_squaring(self):
+        # below about 1.5e-154 the kernel's squares are subnormal, below
+        # about 1.5e-162 they read 0; boundary_distance measures such a
+        # distance again with hypot, so a start 1e-163 off a tooth is inside
+        strip = pseudo_strip(1e-163, 3e-163, 3.2e-162)
+        assert strip.contains(0j)
+        assert boundary_distance(strip, 0j) == (1e-163, 0)
+        d, i = boundary_distance(strip, -2e-163j)
+        assert (d, i) == (pytest.approx(1e-163, rel=1e-15), 1)
+        assert boundary_distance(strip, -1 + 1e-163j) == (0.0, 0)
+        # a subnormal square lost precision: 9.99994e-161 read for 1e-160
+        assert boundary_distance(pseudo_strip(1e-160, 3e-160, 3.2e-159), 0j) == (1e-160, 0)
+
     def test_non_half_line_features_are_refused(self, six_plan_widths):
         # the kernel measures leftward half-lines only; other geometry is named
         domain = build_comb(six_plan_widths)

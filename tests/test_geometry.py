@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from combslope.errors import DomainError
@@ -171,6 +171,127 @@ class TestKernel:
             6.0, 0.0, 1.0, -1.5, -3.0]
         assert arrays.end_distance(x, np.ones(5, dtype=np.intp)).tolist() == [
             8.0, 2.0, 3.0, 0.5, -1.0]
+
+
+def _run(arrays, x, y):
+    second, index = np.empty_like(x), np.empty(x.shape, dtype=np.intp)
+    near = arrays.distances(x, y, second, index)
+    return near, second, index
+
+
+def _same_as_full(feats, x, y, origin=0j, scale=1.0):
+    """Runs the kernel with and without the local candidate set on the same
+    points, asserts that distances, second minima and indices agree bit for
+    bit, and returns the local arrays and the full kernel's results."""
+    local = FeatureArrays(feats, origin, scale)
+    full = FeatureArrays(feats, origin, scale)
+    full._local = None
+    want = _run(full, x, y)
+    for got, ref in zip(_run(local, x, y), want):
+        assert got.dtype == ref.dtype
+        assert got.tobytes() == ref.tobytes()
+    return local, want
+
+
+# wider integer coordinates put the fifth feature past the first four
+wide_coords = st.one_of(st.integers(-40, 40).map(float), finite_floats)
+
+
+@st.composite
+def local_frames(draw):
+    """Five to twelve features, one of them perhaps beyond 1.3e154, a frame
+    with or without rescaling, and points around the frame's origin."""
+    labels = st.sampled_from(["upper", "lower"])
+    anchors = draw(st.lists(st.builds(complex, wide_coords, wide_coords), min_size=5,
+                            max_size=12))
+    if draw(st.booleans()):
+        far = complex(draw(st.sampled_from([-1e160, 1e160, 0.0])),
+                      draw(st.sampled_from([-1e160, 1e160])))
+        anchors.insert(draw(st.integers(0, len(anchors))), far)
+    feats = [(HalfLine(a), draw(labels)) for a in anchors]
+    origin = draw(st.builds(complex, coords, coords))
+    scale = 1.0
+    if draw(st.booleans()):  # the walkers' frame: the start distance is 1
+        x, y = np.array([origin.real]), np.array([origin.imag])
+        scale = float(_run(FeatureArrays(feats), x, y)[0][0])
+        assume(scale > 0.0)
+    return feats, origin, scale
+
+
+# disk radii: inside, just inside, on the edge, just outside, outside
+radii = st.one_of(st.sampled_from([0.0, 0.5, 1.0 - 2e-12, 1.0, 1.0 + 2e-12, 2.0]),
+                  st.floats(0.0, 4.0))
+
+
+class TestCandidateSets:
+    """The local candidate set never changes a result."""
+
+    @settings(max_examples=300)
+    @given(st.data())
+    def test_candidate_path_equals_the_full_kernel(self, data):
+        feats, origin, scale = data.draw(local_frames())
+        local = FeatureArrays(feats, origin, scale)._local
+        # the disk test's radius, rho less its margin
+        rho = math.sqrt(local.disk_sq) if local is not None else 1.0
+        pts = [complex(v * rho, w * rho) for v, w in ((1, 0), (-1, 0), (0, 1), (0, -1))]
+        for r, phi in data.draw(st.lists(st.tuples(radii, angles), max_size=20)):
+            pts.append(rho * r * cmath.exp(1j * phi))
+        # integer points on the axes: in an unscaled frame with integer
+        # features, second minima can tie with the bound L there
+        pts += [complex(k, 0) for k in range(-40, 41)] + [complex(0, k) for k in range(-40, 41)]
+        x = np.array([p.real for p in pts])
+        y = np.array([p.imag for p in pts])
+        _same_as_full(feats, x, y, origin, scale)
+
+    def test_second_minimum_tied_with_the_bound(self):
+        # D_k = 36, 1, 4, 6, 18: rho = 16, C = the last four, L = 36 - 16 = 20;
+        # at 16i, on the disk's edge, the second minimum over C is 20 (the
+        # wall at -4), tied with the skipped first feature at 36; at 17i,
+        # outside the disk, that feature is second
+        feats = [(HalfLine(complex(50, h)), "upper" if h > 0 else "lower")
+                 for h in (36.0, -1.0, -4.0, -6.0, -18.0)]
+        x, y = np.array([0.0, 0.0, 0.0]), np.array([16.0, 15.0, 17.0])
+        local, (near, second, index) = _same_as_full(feats, x, y)
+        assert [int(f[0]) for f in local._local.features] == [1, 2, 3, 4]
+        limit = 20.0 * (1.0 - 1e-12)
+        assert local._local.limit_sq == limit * limit
+        assert second.tolist() == [20.0, 19.0, 19.0]
+        assert index.tolist() == [1, 1, 1]
+
+    def test_far_features_read_inf(self):
+        # in an unscaled frame every feature more than about 1.3e154 away
+        # reads inf on the candidate path too
+        feats = [(HalfLine(complex(0.0, s * k * 1e160)), "upper") for k in range(1, 7)
+                 for s in (1.0, -1.0)]
+        x = np.array([0.0, 1e150, -1e159, 3.0])
+        y = np.array([0.0, 0.0, 1e100, -1.0])
+        local, (near, second, _) = _same_as_full(feats, x, y)
+        assert local._local is not None
+        assert np.isinf(near).all() and np.isinf(second).all()
+        # with near features the far ones stay outside C: D_k = 1, 2, 4, 8
+        # and 16 give rho = 4 and C = the first four of them
+        feats += [(HalfLine(complex(5.0, h)), "upper") for h in (1.0, -2.0, 4.0, -8.0, 16.0)]
+        local, (near, _, index) = _same_as_full(feats, x, y)
+        assert [int(f[0]) for f in local._local.features] == [12, 13, 14, 15]
+        assert (near[::3].tolist(), index[::3].tolist()) == ([1.0, 1.0], [12, 13])
+
+    def test_more_than_256_features_widen_the_index(self):
+        rng = np.random.default_rng(30)
+        anchors = rng.uniform(-150.0, 150.0, 300) + 1j * rng.uniform(-6.0, 6.0, 300)
+        feats = [(HalfLine(complex(a)), "upper") for a in anchors]
+        x = np.concatenate([rng.uniform(-160.0, 160.0, 2000), np.arange(-8.0, 9.0)])
+        y = np.concatenate([rng.uniform(-8.0, 8.0, 2000), np.zeros(17)])
+        local, (near, second, index) = _same_as_full(feats, x, y)
+        assert local._local is not None
+        assert local._features[0][0].dtype == np.uint16
+        # _reference's formula, points by features
+        dx = np.maximum(x[:, None] - anchors.real, 0.0)
+        dy = y[:, None] - anchors.imag
+        squares = dy * dy + dx * dx
+        assert (index == squares.argmin(axis=1)).all()
+        assert index.max() > 255
+        assert (near == np.sqrt(squares.min(axis=1))).all()
+        assert (second == np.sqrt(np.sort(squares, axis=1)[:, 1])).all()
 
 
 class TestRectWitness:

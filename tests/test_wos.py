@@ -386,6 +386,61 @@ class TestChunks:
         assert peaks[1] < 1.5 * peaks[0]
 
 
+class TestKernelWork:
+    """The points an estimate passes through ``FeatureArrays.distances``: one
+    per walker-step, one per absorbed walker on the pass that absorbs it,
+    and the start distance.  The benchmark's kernel spans count these."""
+
+    @staticmethod
+    def _points(monkeypatch, domain, t, params):
+        sizes = []
+        kernel = wos._FeatureArrays.distances
+
+        def counted(self, x, *rest):
+            sizes.append(x.size)
+            return kernel(self, x, *rest)
+
+        monkeypatch.setattr(wos._FeatureArrays, "distances", counted)
+        est = estimate_upper_measure(domain, complex(t, 0.0), params)
+        assert sum(sizes) == est.walker_steps + est.walkers_used + 1
+        return sum(sizes), est
+
+    def test_readme_comb_block_3_anchor(self, readme_comb, monkeypatch):
+        points, est = self._points(
+            monkeypatch, readme_comb, 2880.0, WosParams(walkers=1_000_000, seed=42))
+        assert (points, est.walker_steps, est.walkers_used) == (4_519_920, 3_519_919, 1_000_000)
+
+    def test_lost_walkers(self, monkeypatch):
+        params = WosParams(walkers=2_000, seed=1, max_steps=12)
+        points, est = self._points(monkeypatch, pseudo_strip(1.0, 3.0, 8.0), 0.0, params)
+        assert est.lost > 0
+        assert points == 9_266
+
+
+class _FullKernel(wos._FeatureArrays):
+    """The distance kernel without its local candidate set."""
+
+    def __init__(self, features, origin=0j, scale=1.0):
+        super().__init__(features, origin, scale)
+        self._local = None
+
+
+class TestCandidateSets:
+    @pytest.mark.parametrize("rescale", [True, False])
+    def test_candidate_sets_never_change_an_estimate(self, readme_comb, monkeypatch, rescale):
+        sealed = surgery(readme_comb, SEAL_GAP, 1)
+        runs = [(readme_comb, 2880.0), (readme_comb, 500.0), (sealed, 1590.0)]
+        p = WosParams(walkers=3_000, seed=42, rescale=rescale)
+        local = [dataclasses.replace(estimate_upper_measure(dom, complex(t), p), elapsed=0.0)
+                 for dom, t in runs]
+        for dom, t in runs:
+            assert wos._FeatureArrays(dom.features(), complex(t))._local is not None
+        monkeypatch.setattr(wos, "_FeatureArrays", _FullKernel)
+        full = [dataclasses.replace(estimate_upper_measure(dom, complex(t), p), elapsed=0.0)
+                for dom, t in runs]
+        assert local == full
+
+
 class TestSurgeryOrdering:
     def test_bracketing_at_one_point(self):
         plan = assign_widths(
