@@ -49,6 +49,7 @@ __all__ = [
     "AnchorRow",
     "BetweenRow",
     "ConstructionReport",
+    "Job",
     "LimitPair",
     "OmegaProfile",
     "ProfilePoint",
@@ -56,6 +57,8 @@ __all__ = [
     "SurgeryRow",
     "TailWindow",
     "calibrate_widths",
+    "judge",
+    "plan_jobs",
     "render_comb_svg",
     "report_to_dict",
     "report_to_text",
@@ -295,10 +298,7 @@ class SurgeryRow:
 @dataclass(frozen=True)
 class ConstructionReport:
     plan: SequencePlan
-    seed: int
-    walkers: int
-    epsilon_shell: float
-    max_steps: int
+    params: WosParams
     anchor_rows: tuple[AnchorRow, ...]
     between_rows: tuple[BetweenRow, ...]
     surgery_rows: tuple[SurgeryRow, ...]
@@ -313,119 +313,119 @@ class ConstructionReport:
 
 _BASE_TOLERANCE = 0.05  # desk-scale anchor tolerance; shrink it only with more walkers
 _BETWEEN_PER_BLOCK = 3
+# child-seed offsets of the in-between samples and their surgery brackets
+_ROLE_OFFSETS = {"between": 1_000_000, "sealed": 2_000_000, "dropped": 3_000_000}
 
 
-def _anchor_status(est: MeasureEstimate, target: float) -> tuple[float, str]:
-    # a check may only pass or fail when the Monte Carlo band can resolve
-    # the base tolerance; otherwise it is inconclusive either way
-    tol = max(_BASE_TOLERANCE, 3.0 * est.smoothed_stderr)
-    if not est.valid:
-        return tol, "fail"
-    if 3.0 * est.smoothed_stderr > _BASE_TOLERANCE:
-        return tol, "inconclusive"
-    return tol, "pass" if abs(est.mean - target) <= tol else "fail"
+@dataclass(frozen=True)
+class Job:
+    """One estimate of verification: the upper measure of ``domain`` at ``t``."""
+
+    role: str  # anchor, between, sealed or dropped
+    block: int  # the anchor index, or the left anchor of the sample's block
+    t: float
+    domain: comb_mod.CombDomain
+    seed: int
 
 
-def verify_construction(plan: SequencePlan, params: WosParams) -> ConstructionReport:
-    """Measure a planned comb and check it against its own targets.
-
-    Anchor estimates are compared to the exact local strip ratios at
-    tolerance ``max(0.05, 3 sigma)``.  Three in-between samples per block
-    must stay in the sandwich band
-    ``[liminf - 1/n - 3 sigma, limsup + 1/n + 3 sigma]`` for their block
-    index ``n``.  On forward combs each odd block is also bracketed by the
-    sealed (smaller) and tooth-dropped (larger) surgery domains.  The
-    limits come from :func:`tail_extrema` over the default
-    :class:`TailWindow`.  The report carries every seed and parameter
-    needed to reproduce it.
-    """
+def plan_jobs(plan: SequencePlan, seed: int) -> tuple[Job, ...]:
+    """Every estimate :func:`verify_construction` runs, in run order: one per
+    usable anchor, then three in-between samples per block, each followed by
+    its sealed and tooth-dropped jobs on odd blocks of forward combs.  Raises
+    if the plan has fewer anchors than :class:`TailWindow` needs."""
     if plan.block_widths is None:
         raise PlanError("plan needs widths (explicit or calibrated) before verification")
+    usable = usable_anchor_indices(plan)
+    need = TailWindow().min_anchors
+    if len(usable) < need:
+        raise DomainError(f"need at least {need} anchors, got {len(usable)}")
     domain = build_comb(plan)
     xs = midpoints(plan)
-    usable = usable_anchor_indices(plan)
+    jobs = [Job("anchor", n, xs[n - 1], domain, derive_seed(seed, n)) for n in usable]
+    for left in usable[:-1]:  # usable anchors are consecutive
+        domains = {"between": domain}
+        if plan.direction == comb_mod.FORWARD and left % 2 == 1:
+            k = (left + 1) // 2
+            domains["sealed"] = surgery(domain, SEAL_GAP, k)
+            domains["dropped"] = surgery(domain, DROP_TOOTH, k)
+        for i in range(_BETWEEN_PER_BLOCK):
+            t = xs[left - 1] + (i + 1) / (_BETWEEN_PER_BLOCK + 1) * (xs[left] - xs[left - 1])
+            jobs += [
+                Job(role, left, t, dom, derive_seed(seed, _ROLE_OFFSETS[role] + 1000 * left + i))
+                for role, dom in domains.items()
+            ]
+    return tuple(jobs)
 
+
+def _status(ok: bool, sigma: float) -> str:
+    # a miss fails only where the Monte Carlo band resolves the base tolerance
+    return "pass" if ok else ("inconclusive" if 3.0 * sigma > _BASE_TOLERANCE else "fail")
+
+
+def judge(
+    plan: SequencePlan, params: WosParams, jobs: tuple[Job, ...], estimates: list[MeasureEstimate]
+) -> ConstructionReport:
+    """Check ``estimates``, one per job in job order, against the plan.
+
+    Anchors must meet the exact local strip ratios within ``max(0.05, 3 sigma)``.
+    In-between samples must stay in the sandwich band ``[liminf - 1/n - 3 sigma,
+    limsup + 1/n + 3 sigma]`` of their block ``n``, and between their
+    tooth-dropped (smaller) and sealed (larger) surgery estimates."""
+    found = {(job.role, job.block, job.t): est for job, est in zip(jobs, estimates, strict=True)}
     anchor_rows: list[AnchorRow] = []
-    for n in usable:
-        sub = replace(params, seed=derive_seed(params.seed, n))
-        est = estimate_upper_measure(domain, complex(xs[n - 1], 0.0), sub)
-        target = anchor_target(plan, n)
-        tol, status = _anchor_status(est, target)
-        anchor_rows.append(AnchorRow(n, xs[n - 1], target, est, tol, status))
-
     between_rows: list[BetweenRow] = []
     surgery_rows: list[SurgeryRow] = []
-    lo_t, hi_t = plan.target_liminf, plan.target_limsup
-    for left, right in zip(usable, usable[1:]):
-        if right != left + 1:
-            continue
-        x0, x1 = xs[left - 1], xs[right - 1]
-        block_tol = 1.0 / left
-        do_surgery = plan.direction == comb_mod.FORWARD and left % 2 == 1
-        k = (left + 1) // 2
-        sealed = surgery(domain, SEAL_GAP, k) if do_surgery else None
-        dropped = surgery(domain, DROP_TOOTH, k) if do_surgery else None
-        for i in range(_BETWEEN_PER_BLOCK):
-            frac = (i + 1) / (_BETWEEN_PER_BLOCK + 1)
-            t = x0 + frac * (x1 - x0)
-            sub = replace(params, seed=derive_seed(params.seed, 1_000_000 + 1000 * left + i))
-            est = estimate_upper_measure(domain, complex(t, 0.0), sub)
-            lo_bound = lo_t - block_tol - 3.0 * est.stderr
-            hi_bound = hi_t + block_tol + 3.0 * est.stderr
+    for (role, n, t), est in found.items():
+        sigma = est.smoothed_stderr
+        if role == "anchor":
+            target = anchor_target(plan, n)
+            tol = max(_BASE_TOLERANCE, 3.0 * sigma)
+            # an anchor passes only where its band resolves the base tolerance
+            ok = 3.0 * sigma <= _BASE_TOLERANCE and abs(est.mean - target) <= tol
+            status = _status(ok, sigma) if est.valid else "fail"
+            anchor_rows.append(AnchorRow(n, t, target, est, tol, status))
+        elif role == "between":
+            lo_bound = plan.target_liminf - 1.0 / n - 3.0 * est.stderr
+            hi_bound = plan.target_limsup + 1.0 / n + 3.0 * est.stderr
             ok = est.valid and lo_bound <= est.mean <= hi_bound
-            status = "pass" if ok else (
-                "inconclusive" if 3.0 * est.smoothed_stderr > _BASE_TOLERANCE else "fail"
+            between_rows.append(BetweenRow(n, t, lo_bound, hi_bound, est, _status(ok, sigma)))
+        elif role == "sealed":  # judged with the base and dropped runs at its t
+            base, dropped = found["between", n, t], found["dropped", n, t]
+            band_lo = 3.0 * math.hypot(base.smoothed_stderr, dropped.smoothed_stderr)
+            band_hi = 3.0 * math.hypot(base.smoothed_stderr, sigma)
+            ok = dropped.mean - band_lo <= base.mean <= est.mean + band_hi
+            wide = max(base.smoothed_stderr, sigma, dropped.smoothed_stderr)
+            surgery_rows.append(
+                SurgeryRow(
+                    (n + 1) // 2, t, base.mean, est.mean, dropped.mean,
+                    max(band_lo, band_hi), _status(ok, wide),
+                )
             )
-            between_rows.append(BetweenRow(left, t, lo_bound, hi_bound, est, status))
-            if do_surgery:
-                sub_s = replace(params, seed=derive_seed(params.seed, 2_000_000 + 1000 * left + i))
-                sub_d = replace(params, seed=derive_seed(params.seed, 3_000_000 + 1000 * left + i))
-                est_s = estimate_upper_measure(sealed, complex(t, 0.0), sub_s)
-                est_d = estimate_upper_measure(dropped, complex(t, 0.0), sub_d)
-                band_lo = 3.0 * math.hypot(est.smoothed_stderr, est_d.smoothed_stderr)
-                band_hi = 3.0 * math.hypot(est.smoothed_stderr, est_s.smoothed_stderr)
-                ok = (est_d.mean - band_lo <= est.mean) and (est.mean <= est_s.mean + band_hi)
-                wide = max(est.smoothed_stderr, est_s.smoothed_stderr, est_d.smoothed_stderr)
-                status = "pass" if ok else (
-                    "inconclusive" if 3.0 * wide > _BASE_TOLERANCE else "fail"
-                )
-                surgery_rows.append(
-                    SurgeryRow(
-                        k, t, est.mean, est_s.mean, est_d.mean,
-                        max(band_lo, band_hi), status,
-                    )
-                )
 
-    profile_pts = [
-        ProfilePoint(row.t, row.estimate, row.n)
-        for row in anchor_rows
-        if row.estimate.valid
-    ]
-    profile = OmegaProfile(plan.direction, tuple(profile_pts))
-    limits = tail_extrema(profile)
+    limits = tail_extrema(OmegaProfile(plan.direction, tuple(
+        ProfilePoint(row.t, row.estimate, row.n) for row in anchor_rows if row.estimate.valid
+    )))
     liminf = min(limits.liminf_hat, limits.limsup_hat)
     interval = slope_interval_from_limits(limits.limsup_hat, liminf)
 
-    rows_status = [r.status for r in anchor_rows + between_rows + surgery_rows]
-    if "fail" in rows_status:
-        overall = "fail"
-    elif "inconclusive" in rows_status:
-        overall = "inconclusive"
-    else:
-        overall = "pass"
+    rows_status = {r.status for r in anchor_rows + between_rows + surgery_rows}
+    overall = next((s for s in ("fail", "inconclusive") if s in rows_status), "pass")
     return ConstructionReport(
-        plan=plan,
-        seed=params.seed,
-        walkers=params.walkers,
-        epsilon_shell=params.epsilon_shell,
-        max_steps=params.max_steps,
-        anchor_rows=tuple(anchor_rows),
-        between_rows=tuple(between_rows),
-        surgery_rows=tuple(surgery_rows),
-        limits=limits,
-        interval=interval,
-        overall=overall,
+        plan, params, tuple(anchor_rows), tuple(between_rows), tuple(surgery_rows),
+        limits, interval, overall,
     )
+
+
+def verify_construction(plan: SequencePlan, params: WosParams) -> ConstructionReport:
+    """Run each estimate :func:`plan_jobs` lists, under its job's seed, and
+    :func:`judge` them.  The report carries every seed and parameter needed
+    to reproduce it."""
+    jobs = plan_jobs(plan, params.seed)
+    estimates = [
+        estimate_upper_measure(job.domain, complex(job.t, 0.0), replace(params, seed=job.seed))
+        for job in jobs
+    ]
+    return judge(plan, params, jobs, estimates)
 
 
 # ---------------------------------------------------------------------------
@@ -441,10 +441,10 @@ def report_to_dict(report: ConstructionReport) -> dict:
         "schema": "combslope/report-v1",
         "tool_version": __version__,
         "rng": RNG_ALGORITHM,
-        "seed": report.seed,
-        "walkers": report.walkers,
-        "epsilon_shell": report.epsilon_shell,
-        "max_steps": report.max_steps,
+        "seed": report.params.seed,
+        "walkers": report.params.walkers,
+        "epsilon_shell": report.params.epsilon_shell,
+        "max_steps": report.params.max_steps,
         "plan": plan_to_dict(report.plan),
         "anchors": [
             {
@@ -495,8 +495,8 @@ def report_to_text(report: ConstructionReport) -> str:
     lines = [
         f"construction report: {report.plan.direction} comb, "
         f"{report.plan.n_pairs} tooth pairs, overall {report.overall.upper()}",
-        f"seed {report.seed}  walkers {report.walkers}  "
-        f"eps {report.epsilon_shell}  max_steps {report.max_steps}",
+        f"seed {report.params.seed}  walkers {report.params.walkers}  "
+        f"eps {report.params.epsilon_shell}  max_steps {report.params.max_steps}",
         "",
         "anchors (n, t, target, mean, 3sigma, status):",
     ]

@@ -1,8 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from combslope import analyzer
 from combslope.analyzer import (
     LimitPair,
     OmegaProfile,
@@ -10,6 +12,8 @@ from combslope.analyzer import (
     SlopeInterval,
     TailWindow,
     calibrate_widths,
+    judge,
+    plan_jobs,
     render_comb_svg,
     report_to_dict,
     report_to_text,
@@ -18,14 +22,16 @@ from combslope.analyzer import (
     verify_construction,
 )
 from combslope.comb import (
+    SurgeryVariant,
     assign_widths,
     build_comb,
+    midpoints,
     plan_backward,
     plan_forward,
     plan_pseudo_strip,
 )
 from combslope.errors import DomainError, PlanError
-from combslope.wos import MeasureEstimate, WosParams
+from combslope.wos import MeasureEstimate, WosParams, estimate_upper_measure
 
 
 def _est(mean, stderr=0.001):
@@ -210,6 +216,166 @@ class TestVerifyConstruction:
         rep = verify_construction(plan, WosParams(walkers=2_000, seed=9))
         assert rep.surgery_rows == ()
         assert len(rep.anchor_rows) == 4
+
+    def test_is_plan_jobs_then_judge(self, pseudo_report, monkeypatch):
+        # verify adds nothing to its parts: it runs each job once, in job
+        # order, and its report is the judge's report on those estimates
+        plan, params = pseudo_report.plan, pseudo_report.params
+        calls = []
+
+        def recording(domain, point, p):
+            est = estimate_upper_measure(domain, point, p)
+            calls.append(((domain, point, p), est))
+            return est
+
+        monkeypatch.setattr(analyzer, "estimate_upper_measure", recording)
+        rep = verify_construction(plan, params)
+        jobs = plan_jobs(plan, params.seed)
+        assert [c for c, _ in calls] == [
+            (job.domain, complex(job.t, 0.0), dataclasses.replace(params, seed=job.seed))
+            for job in jobs
+        ]
+        assert rep == judge(plan, params, jobs, [est for _, est in calls])
+        assert report_to_dict(rep) == report_to_dict(pseudo_report)
+
+
+def _never_estimate(*args, **kwargs):
+    raise AssertionError("an estimate ran")
+
+
+class TestPlanJobs:
+    # the benchmark's forward plan with its seed-42 calibrated widths
+    WIDTHS = [
+        431.99999999999994, 1151.9999999999998, 2591.999999999999, 6911.999999999997,
+        15551.999999999993, 41471.99999999998, 93311.99999999994, 248831.99999999985,
+    ]
+
+    def test_benchmark_forward_plan(self):
+        plan = assign_widths(
+            plan_forward(-math.pi / 4, math.pi / 6, 6.0, 4), self.WIDTHS, mode="calibrated"
+        )
+        jobs = plan_jobs(plan, 42)
+        assert len(jobs) == 43
+        roles = [job.role for job in jobs]
+        assert {r: roles.count(r) for r in set(roles)} == {
+            "anchor": 7, "between": 18, "sealed": 9, "dropped": 9
+        }
+        # anchors first, then each in-between sample before its brackets
+        assert roles[:7] == ["anchor"] * 7
+        assert roles[7:13] == ["between", "sealed", "dropped", "between", "sealed", "dropped"]
+        xs = midpoints(plan)
+        assert [job.t for job in jobs[:7]] == list(xs[:7])
+        surgery_jobs = [job for job in jobs if job.role in ("sealed", "dropped")]
+        assert {job.block for job in surgery_jobs} == {1, 3, 5}
+        for job in jobs:
+            assert isinstance(job.domain, SurgeryVariant) == (job in surgery_jobs)
+        # the child seeds behind report.json, written out
+        assert jobs[0].seed == 2949826092126892291  # derive_seed(42, 1)
+        assert jobs[6].seed == 14769051326987775908  # derive_seed(42, 7)
+        assert jobs[7].seed == 18176936610276739249  # derive_seed(42, 1_000_000 + 1000)
+        assert jobs[8].seed == 13246708583417637524  # derive_seed(42, 2_000_000 + 1000)
+        dropped = [job for job in jobs if job.role == "dropped"]
+        assert dropped[-1].block == 5
+        assert dropped[-1].seed == 2076505820001205766  # derive_seed(42, 3_000_000 + 5002)
+
+    @pytest.mark.parametrize("n_pairs", [1, 2])
+    def test_short_plans_raise_before_any_estimate(self, n_pairs, monkeypatch):
+        monkeypatch.setattr(analyzer, "estimate_upper_measure", _never_estimate)
+        forward = plan_forward(-math.pi / 4, math.pi / 6, 6.0, n_pairs)
+        backward = plan_backward(-math.pi / 4, math.pi / 6, 1 / 3, n_pairs)
+        for plan in (forward, backward):
+            plan = assign_widths(plan, [10.0 * 2**i for i in range(plan.max_blocks)])
+            with pytest.raises(DomainError, match="need at least 4 anchors"):
+                plan_jobs(plan, 0)
+            with pytest.raises(DomainError, match="need at least 4 anchors"):
+                verify_construction(plan, WosParams(walkers=2_000, seed=1))
+
+
+def _at(mean, walkers=1_000_000, valid=True):
+    # a made-up estimate: Bernoulli stderr at the given walker count
+    return MeasureEstimate(
+        mean, math.sqrt(mean * (1.0 - mean) / walkers), walkers, 0, 0.0, valid
+    )
+
+
+class TestJudge:
+    """The judge on made-up estimates: every row on its target but one."""
+
+    PLAN = assign_widths(plan_pseudo_strip(1.0, 1.0, 3), [16, 18, 20, 23, 26, 30])
+
+    @pytest.fixture(autouse=True)
+    def _no_monte_carlo(self, monkeypatch):
+        monkeypatch.setattr(analyzer, "estimate_upper_measure", _never_estimate)
+
+    def _judge(self, role=None, index=0, est=None):
+        jobs = plan_jobs(self.PLAN, 0)
+        estimates = [_at(0.5) for _ in jobs]
+        if role is not None:
+            estimates[[i for i, job in enumerate(jobs) if job.role == role][index]] = est
+        return judge(self.PLAN, WosParams(walkers=1_000_000, seed=0), jobs, estimates)
+
+    def test_on_target_passes(self):
+        rep = self._judge()
+        assert rep.overall == "pass"
+        assert (len(rep.anchor_rows), len(rep.between_rows), len(rep.surgery_rows)) == (5, 12, 6)
+        assert rep.limits.limsup_hat == rep.limits.liminf_hat == 0.5
+
+    def test_anchor_off_target_fails(self):
+        rep = self._judge("anchor", 0, _at(0.56))
+        assert rep.anchor_rows[0].status == "fail"
+        assert rep.overall == "fail"
+
+    def test_invalid_anchor_fails(self):
+        rep = self._judge("anchor", 0, _at(0.5, valid=False))
+        assert rep.anchor_rows[0].status == "fail"
+        assert rep.overall == "fail"
+
+    @pytest.mark.parametrize("role, index, mean", [
+        ("anchor", 0, 0.8), ("between", -1, 0.95), ("sealed", 0, 0.1),
+    ])
+    def test_wide_band_is_inconclusive_not_fail(self, role, index, mean):
+        # the same miss fails at 10^6 walkers, but at 100 walkers 3 sigma
+        # exceeds the 0.05 tolerance
+        for walkers, status in ((1_000_000, "fail"), (100, "inconclusive")):
+            rep = self._judge(role, index, _at(mean, walkers=walkers))
+            rows = {"anchor": rep.anchor_rows, "between": rep.between_rows,
+                    "sealed": rep.surgery_rows}[role]
+            assert rows[index].status == status
+            assert rep.overall == status
+
+    def test_wide_anchor_on_target_is_inconclusive(self):
+        # an anchor passes only where its band resolves the tolerance
+        rep = self._judge("anchor", 0, _at(0.5, walkers=100))
+        assert rep.anchor_rows[0].status == "inconclusive"
+
+    def test_invalid_between_sample_fails(self):
+        rep = self._judge("between", 0, _at(0.5, valid=False))
+        assert rep.between_rows[0].status == "fail"
+
+    def test_a_fail_outranks_an_inconclusive_row(self):
+        jobs = plan_jobs(self.PLAN, 0)
+        estimates = [_at(0.5) for _ in jobs]
+        estimates[0] = _at(0.8, walkers=100)  # anchor 1: inconclusive
+        estimates[1] = _at(0.56)  # anchor 2: fail
+        rep = judge(self.PLAN, WosParams(), jobs, estimates)
+        assert [r.status for r in rep.anchor_rows[:2]] == ["inconclusive", "fail"]
+        assert rep.overall == "fail"
+
+    def test_base_below_dropped_fails_surgery(self):
+        rep = self._judge("dropped", 1, _at(0.6))
+        assert [r.status for r in rep.surgery_rows] == ["pass", "fail"] + ["pass"] * 4
+        assert all(r.status == "pass" for r in rep.between_rows)
+        assert rep.overall == "fail"
+
+    def test_base_above_sealed_fails_surgery(self):
+        rep = self._judge("sealed", 5, _at(0.4))
+        assert [r.status for r in rep.surgery_rows] == ["pass"] * 5 + ["fail"]
+        assert rep.overall == "fail"
+
+    def test_needs_one_estimate_per_job(self):
+        jobs = plan_jobs(self.PLAN, 0)
+        with pytest.raises(ValueError):
+            judge(self.PLAN, WosParams(), jobs, [_at(0.5)] * (len(jobs) - 1))
 
 
 class TestReportRendering:

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from combslope import analyzer
 from combslope.cli import main, parse_angle
 
 
@@ -221,6 +222,27 @@ class TestVerifyCommand:
 
     def test_missing_plan_exits_3(self, tmp_path):
         assert main(["verify", "--plan", str(tmp_path / "nope.json")]) == 3
+
+    @pytest.mark.parametrize("mode, r1, widths", [
+        ("--forward", "6", "200,1100,2600,7000"),
+        ("--backward", "0.3333", "8,9,10,11,12"),
+    ])
+    def test_two_pairs_exit_2_before_any_estimate(
+        self, mode, r1, widths, tmp_path, monkeypatch, capsys
+    ):
+        plan = tmp_path / "plan.json"
+        assert main(["plan", mode, "--theta1", "-0.25pi", "--theta2", "0.1667pi",
+                     "--r1", r1, "--n", "2", "--widths", widths, "-o", str(plan)]) == 0
+
+        def never(*args, **kwargs):
+            raise AssertionError("an estimate ran")
+
+        monkeypatch.setattr(analyzer, "estimate_upper_measure", never)
+        rc = main(["verify", "--plan", str(plan), "--out-dir", str(tmp_path / "report"),
+                   "--walkers", "2000"])
+        assert rc == 2
+        assert "need at least 4 anchors, got 3" in capsys.readouterr().err
+        assert not (tmp_path / "report").exists()
 
 
 class TestModelCommand:
