@@ -13,12 +13,16 @@ Half-disk steps: near a flat wall a circle step only halves the distance
 to it on average, so a walker would spend most of its steps creeping into
 the shell.  A walker close to the inside of its nearest feature (a
 leftward half-line) instead leaves the half-disk of radius ``R`` on the
-feature, clear of every other feature, in one exact step: absorbed on the
-feature with probability ``1 - 4 atan(d/R) / pi``, else onto the half-disk's
-arc by the Cauchy exit law of the map ``((R + z)/(R - z))^2`` onto the
-upper half-plane (Muller 1956; Sabelfeld 1991).  It draws the same one
-angle per step, so ``walker_steps`` counts angle draws either way.  The
-shell still absorbs walkers that reach a tip.
+feature, clear of every other feature, in one exact step: through the
+diameter with probability ``1 - 4 atan(d/R) / pi``, else onto the
+half-disk's arc by the Cauchy exit law of the map ``((R + z)/(R - z))^2``
+onto the upper half-plane (Muller 1956; Sabelfeld 1991), in a rational
+form of ``d/R`` and of the half-angle tangent the plain step takes, so a
+walker-step takes one ``tan`` and no ``sin``, ``cos`` or ``arctan``.  An
+exit through the diameter lands on the feature and is absorbed in the step
+itself, on that feature's label, so the kernel never measures it again.
+It draws the same one angle per step, so ``walker_steps`` counts angle
+draws either way.  The shell still absorbs walkers that reach a tip.
 
 Reproducibility: angle draws come from a counter-based stream, one value
 per (seed, walker index, step index), so results are bit-identical for a
@@ -254,6 +258,7 @@ def _walk(feats: _FeatureArrays, chunk: slice, seed_mixed: int, params: WosParam
     second_buf = np.empty(ids.size)
     index_buf = np.empty(ids.size, dtype=np.intp)
     upper_hits = absorbed = steps = 0
+    last = params.max_steps - 1
     for step in range(params.max_steps):
         second, index = second_buf[: ids.size], index_buf[: ids.size]
         near = feats.distances(x, y, second, index)
@@ -273,32 +278,48 @@ def _walk(feats: _FeatureArrays, chunk: slice, seed_mixed: int, params: WosParam
             del hit, keep
             if ids.size == 0:
                 break
-        # only a walker with d2 > 3 d can own a half-disk of radius R > 2 d
-        ratio = np.divide(second, near)
-        near_wall = ratio > _THREE if ratio.max() > 3.0 else None
-        del ratio
         theta = _uniform_angles(seed_mixed, ids, step)
         steps += ids.size
-        if near_wall is not None:
-            _half_disk_steps(feats, x, y, near, second, index, theta, near_wall)
-        _plain_step(x, y, near, theta)
-        del theta  # before the next kernel pass allocates
+        if step == last:
+            # the last draw moves no walker: one still out is lost, even
+            # one that this step would take out through a diameter
+            break
+        # the half-angle tangent, shared by both steps
+        t = np.multiply(theta, 0.5, out=theta)
+        np.tan(t, out=t)
+        del theta
+        exits = _half_disk_steps(feats, x, y, near, second, index, t)[0]
+        _plain_step(x, y, near, t, second)
+        del t, near
+        if exits.size:
+            # absorbed on the nearest feature, whose label the kernel would
+            # read at the foot point
+            upper_hits += int(np.count_nonzero(feats.is_upper[index[exits]]))
+            absorbed += exits.size
+            keep = np.ones(ids.size, dtype=bool)
+            keep[exits] = False
+            keep = np.flatnonzero(keep)
+            x = x.take(keep)
+            y = y.take(keep)
+            ids = ids.take(keep)
+            del keep
+            if ids.size == 0:
+                break
     return upper_hits, absorbed, steps
 
 
-def _plain_step(x, y, near, theta):
+def _plain_step(x, y, near, t, k):
     """Move each walker by ``near`` in the direction ``theta``, in place:
-    the plain step, of the full radius ``d``.
+    the plain step, of the full radius ``d``, from the half-angle tangent
+    ``t = tan(theta / 2)``.
 
-    The direction ``(cos theta, sin theta)`` comes from the half-angle
-    tangent ``t = tan(theta / 2)`` as ``(1 - t**2, 2 t) / (1 + t**2)``:
-    one SIMD ``tan`` instead of a scalar ``cos`` and ``sin``.  At
-    ``theta = pi``, ``t`` is about 1.6e16, so ``t**2`` stays finite.
-    ``theta`` is overwritten.
+    The direction ``(cos theta, sin theta)`` is
+    ``(1 - t**2, 2 t) / (1 + t**2)``: one SIMD ``tan`` instead of a
+    scalar ``cos`` and ``sin``.  At ``theta = pi``, ``t`` is about 1.6e16,
+    so ``t**2`` stays finite.  ``t`` is overwritten, and ``k``, of the
+    walkers' size, is scratch.
     """
-    t = np.multiply(theta, 0.5, out=theta)
-    np.tan(t, out=t)
-    k = np.multiply(t, t)
+    np.multiply(t, t, out=k)
     move = np.subtract(1.0, k)
     k += 1.0
     np.divide(near, k, out=k)  # near / (1 + t**2)
@@ -309,78 +330,112 @@ def _plain_step(x, y, near, theta):
     y += t
 
 
-def _half_disk_steps(feats, x, y, near, second, index, theta, candidates):
-    """Exact exit from the half-disk at the wall, for those walkers of the
-    mask ``candidates`` that qualify; returns the indices of the walkers
-    that stepped and their radii.
+# the trigonometric law's tangent at U = 0, 1/tan(pi/2) in doubles; every
+# nonzero half-angle tangent is larger in size, at least tan(pi 2**-53)
+_T_ZERO = np.array(1.0 / math.tan(math.pi / 2.0))
+
+
+def _half_disk_steps(feats, x, y, near, second, index, t):
+    """Exact exit from the half-disk at the wall, in place, for the walkers
+    that qualify; returns the indices of the walkers that left through the
+    diameter, then of all that stepped, with their radii.
 
     A walker at distance ``d`` from its nearest feature, whose foot point
     ``p`` lies strictly inside it, owns the half-disk of radius
     ``R = min(distance of p from the tip, d2 - d)`` around ``p`` on its side:
     every other feature is at least ``d + R`` from the walker.  Where
-    ``d < R/2`` the walker leaves that half-disk in one step.  With
-    ``phi = 4 atan(d/R)`` and the walker's uniform ``U = theta / 2 pi``,
-    ``s = cos phi + sin phi tan(pi (U - 1/2))`` is its Cauchy exit point on
-    the real axis of ``((R + zeta)/(R - zeta))^2``.  If ``s > 0`` it leaves
-    through the diameter: it moves onto ``p``, where the next kernel pass
-    absorbs it on this feature.  Otherwise it moves to the arc point
-    ``zeta = R (w - 1)/(w + 1)``, ``w = i sqrt(-s)``, measured from ``p``
-    along and away from the wall.  Stepping walkers get ``near = 0``, so
-    the plain step leaves them where this one put them.
+    ``d < R/2`` the walker leaves that half-disk in one step, by the Cauchy
+    exit law of ``((R + zeta)/(R - zeta))^2`` in rational form.  With
+    ``r = d/R``, ``u = r**2``, the half-angle tangent ``t`` that the plain
+    step takes too (``tan(pi (U - 1/2)) = -1/t`` for the walker's uniform
+    ``U``) and ``g = 4 r (1 - u)/t``:
 
-    Temporaries are made in place where they can be: at the first steps of
-    a chunk about half of its walkers step here.
+    - where ``g <= (1 - u)**2 - 4u`` the walker leaves through the
+      diameter onto ``p``.  It is not moved: the caller absorbs it in this
+      step, on this feature, which is the one the kernel would name at
+      ``p`` (another feature at distance 0 from ``p`` would lie on the same
+      wall past the walker and tie the nearest, and ``d2 > 3 d`` rules that
+      out);
+    - every other walker moves to the arc point ``p + along + i away``,
+      along and away from the wall, with
+      ``along = R (g - 2 (1 - u)**2)/(g + 8u)`` and
+      ``away = 2 R (1 + u) sqrt(g - (1 - u)**2 + 4u)/(g + 8u)``, and gets
+      ``near = 0``, so the plain step leaves it there.
+
+    No ``sin``, ``cos`` or ``arctan``.  ``t = 0`` (``U = 0``) would divide
+    by zero; it reads as ``1/tan(pi/2)`` in doubles, the tangent the
+    trigonometric form of the law sees there.  ``second`` is scratch once
+    read.
     """
-    j = np.flatnonzero(candidates)
-    radius = feats.end_distance(x[j], index[j])
-    gap = second[j]
-    d = near[j]
+    # only a walker with d2 > 3 d can own a half-disk of radius R > 2 d
+    j = np.flatnonzero(np.divide(second, near) > _THREE)
+    radius = feats.end_distance(x.take(j), index.take(j))
+    gap = second.take(j)
+    d = near.take(j)
     gap -= d
     np.minimum(radius, gap, out=radius)
     del gap
-    ok = d + d < radius
-    j = j[ok]
-    radius = radius[ok]
-    phi = d[ok]
+    # index arrays throughout: a gather costs less than a random mask
+    ok = np.flatnonzero(d + d < radius)
+    j = j.take(ok)
+    radius = radius.take(ok)
+    g = d.take(ok)
     del d, ok
-    phi /= radius
-    np.arctan(phi, out=phi)
-    phi *= 4.0
-    slope = theta[j]
-    slope /= 2.0 * np.pi
-    slope -= 0.5
-    slope *= np.pi
-    np.tan(slope, out=slope)
-    s = np.sin(phi)
-    s *= slope
-    np.cos(phi, out=phi)
-    s += phi
-    del phi, slope
-    # with w = i sqrt(q), q = -s: zeta = R (q - 1)/(q + 1) + i 2 R sqrt(q)/(q + 1);
-    # q = 0 and along = 0 put the walkers that leave through the diameter on p
-    q = np.negative(s)
-    np.maximum(q, 0.0, out=q)
-    den = q + 1.0
-    along = q - 1.0
+    if not j.size:
+        return j, j, radius
+    g /= radius  # r
+    u = np.multiply(g, g, out=second[: g.size])  # second is read: scratch
+    sq = np.subtract(1.0, u)  # 1 - u
+    g *= 4.0
+    g *= sq
+    tj = t.take(j)
+    nonzero = np.abs(tj)
+    np.maximum(nonzero, _T_ZERO, out=nonzero)
+    np.copysign(nonzero, tj, out=nonzero)
+    del tj
+    g /= nonzero
+    del nonzero
+    sq *= sq  # (1 - u)**2
+    u *= 4.0  # 4u
+    rim = np.less_equal(g, np.subtract(sq, u))
+    exits = np.compress(rim, j)
+    on_arc = np.flatnonzero(np.logical_not(rim, out=rim))
+    del rim
+    arc = j.take(on_arc)
+    g = g.take(on_arc)
+    sq = sq.take(on_arc)
+    u = u.take(on_arc)
+    den = np.add(u, u)
+    den += g  # g + 8u
+    along = np.add(sq, sq)
+    np.subtract(g, along, out=along)
     along /= den
-    along *= radius
-    along[s > 0.0] = 0.0
-    del s
-    away = np.sqrt(q, out=q)
-    away *= 2.0
-    away *= radius
+    g -= sq
+    del sq
+    g += u
+    away = np.sqrt(g, out=g)
+    u *= 0.25
+    u += 1.0  # 1 + u: the scalings by 4 are exact
+    away *= u
     away /= den
-    del den
-    wall = feats.wall_y[index[j]]
-    side = y[j]
+    del u, den
+    scale = radius.take(on_arc)
+    del on_arc
+    along *= scale
+    away *= scale
+    away += away
+    del scale
+    wall = feats.wall_y.take(index.take(arc))
+    side = y.take(arc)
     side -= wall
     np.copysign(away, side, out=away)
     away += wall
     del side, wall
-    y[j] = away
-    x[j] += along
-    near[j] = 0.0
-    return j, radius
+    y[arc] = away
+    along += x.take(arc)
+    x[arc] = along
+    near[arc] = 0.0
+    return exits, j, radius
 
 
 @dataclass(frozen=True)

@@ -264,10 +264,81 @@ class TestGoldenTallies:
         assert est.walker_steps == 10_544
 
 
+def _backward_comb():
+    plan = plan_backward(-math.pi / 4, math.pi / 6, 6.0, 3)
+    return build_comb(assign_widths(plan, [200 * (i + 1) ** 2 for i in range(7)]))
+
+
+class TestWholeEstimates:
+    """Whole estimates at 20,000 walkers, seed 9, pinned: mean, stderr,
+    walkers used, lost, valid and walker-steps.  A rework of the walk that
+    keeps tallies bit-identical keeps every one of them; each case guards a
+    rule that such a rework can break."""
+
+    @staticmethod
+    def _whole(domain, t, **params):
+        params = WosParams(walkers=20_000, seed=9, **params)
+        est = estimate_upper_measure(domain, complex(t, 0.0), params)
+        return est.mean, est.stderr, est.walkers_used, est.lost, est.valid, est.walker_steps
+
+    def test_block_5_anchor_unscaled(self, readme_comb):
+        # unscaled, d2 = 3 d holds exactly at this anchor: the half-disk
+        # gate must compare the computed ratio d2 / d with 3
+        got = self._whole(readme_comb, 18864.0, rescale=False)
+        assert got == (0.75105, 0.003057563552078681, 20_000, 0, True, 70_111)
+
+    def test_lost_walkers_at_a_short_budget(self):
+        # a walker that leaves through a wall's diameter on its last step
+        # is lost, like every walker still out after max_steps
+        got = self._whole(pseudo_strip(1.0, 3.0, 8.0), 0.0, max_steps=12)
+        assert got == (0.7575991359358124, 0.0030733015786747466, 19_443, 557, False, 73_011)
+
+    def test_dropped_variant(self, readme_comb):
+        got = self._whole(surgery(readme_comb, DROP_TOOTH, 1), 400.0)
+        assert got == (0.33845, 0.003345904941118322, 20_000, 0, True, 74_965)
+
+    def test_sealed_variant(self, readme_comb):
+        got = self._whole(surgery(readme_comb, SEAL_GAP, 1), 1590.0)
+        assert got == (0.6848, 0.003285186143888958, 20_000, 0, True, 221_693)
+
+    def test_backward_anchors(self):
+        dom = _backward_comb()
+        assert self._whole(dom, -100.0) == (
+            0.8891, 0.002220373729803161, 20_000, 0, True, 342_208)
+        assert self._whole(dom, -600.0, rescale=False) == (
+            0.99435, 0.0005300036556477721, 20_000, 0, True, 24_657)
+
+
 def _foot_clearance(p: complex, geom) -> float:
     """Distance from ``p`` to one closed half-line, in plain Python."""
     a = geom.anchor
     return math.hypot(p.real - min(p.real, a.real), p.imag - a.imag)
+
+
+def _tangent(theta):
+    """The half-angle tangent both steps share, as the walk computes it."""
+    return np.tan(theta * 0.5)
+
+
+def _trig_exit(d, radius, theta):
+    """The half-disk exit law in its trigonometric form, from the walker's
+    angle: ``phi = 4 atan(d/R)``, ``s = cos phi + sin phi tan(pi (U - 1/2))``,
+    ``U = theta / 2 pi``; ``s >= 0`` leaves through the diameter, else the
+    walker moves along and away from the wall by ``zeta = R (w - 1)/(w + 1)``,
+    ``w = i sqrt(-s)``.  Returns ``(exits, along, away)``."""
+    phi = 4.0 * np.arctan(d / radius)
+    s = np.cos(phi) + np.sin(phi) * np.tan((theta / (2.0 * np.pi) - 0.5) * np.pi)
+    q = np.maximum(-s, 0.0)
+    return s >= 0.0, radius * (q - 1.0) / (q + 1.0), 2.0 * radius * np.sqrt(q) / (q + 1.0)
+
+
+def _wall_walkers(d, radius, side, n):
+    """``n`` walkers at depth ``d`` on ``side`` of one half-line along
+    ``Im = 0`` ending at ``x = 0``, at ``x = -R``, with the arrays the step
+    reads: ``(feats, x, y, near, second, index)``."""
+    feats = wos._FeatureArrays([(HalfLine(0j), "upper")])
+    x, y = np.full(n, -radius), np.full(n, side * d)
+    return feats, x, y, np.full(n, d), np.full(n, np.inf), np.zeros(n, dtype=np.intp)
 
 
 class TestHalfDiskStep:
@@ -287,10 +358,8 @@ class TestHalfDiskStep:
         near = feats.distances(x, y, second, index)
         theta = _uniform_angles(_mix64(5), np.arange(x.size, dtype=np.uint64), 0)
         d, d2 = near.copy(), second.copy()
-        j, radius = wos._half_disk_steps(
-            feats, x.copy(), y.copy(), near, second, index, theta,
-            np.ones(x.size, dtype=bool),
-        )
+        exits, j, radius = wos._half_disk_steps(
+            feats, x.copy(), y.copy(), near, second, index, _tangent(theta))
         assert 500 < j.size < x.size
         for w, r in zip(j.tolist(), radius.tolist()):
             f = index[w]
@@ -300,28 +369,60 @@ class TestHalfDiskStep:
             # the triangle inequality, up to the rounding of d2 - d
             others = [_foot_clearance(foot, g) for i, g in enumerate(geoms) if i != f]
             assert min(others) >= r * (1.0 - 1e-12)
-        assert (near[j] == 0.0).all()
+        assert 0 < exits.size < j.size and np.isin(exits, j).all()
+        assert (near[np.setdiff1d(j, exits)] == 0.0).all()
 
     @pytest.mark.parametrize("side", [1.0, -1.0])
     def test_exit_law_at_fixed_depth_and_radius(self, side):
         d, radius, n = 0.3, 1.0, 200_000
-        # one half-line along Im = 0 ending at x = 0; walkers at x = -R
-        feats = wos._FeatureArrays([(HalfLine(0j), "upper")])
-        x0, y0 = np.full(n, -radius), np.full(n, side * d)
-        x, y, near = x0.copy(), y0.copy(), np.full(n, d)
+        feats, x, y, near, second, index = _wall_walkers(d, radius, side, n)
+        x0, y0 = x.copy(), y.copy()
         theta = _uniform_angles(_mix64(17), np.arange(n, dtype=np.uint64), 0)
-        j, got = wos._half_disk_steps(
-            feats, x, y, near, np.full(n, np.inf), np.zeros(n, dtype=np.intp), theta,
-            np.ones(n, dtype=bool),
-        )
+        exits, j, got = wos._half_disk_steps(feats, x, y, near, second, index, _tangent(theta))
         assert j.size == n and (got == radius).all()
-        on_wall = y == 0.0
-        assert (x[on_wall] == x0[on_wall]).all()
+        # walkers that leave through the diameter stay put: the walk absorbs them
+        assert (x[exits] == x0[exits]).all() and (y[exits] == y0[exits]).all()
         p = 1.0 - 4.0 * math.atan(d / radius) / math.pi
-        assert abs(on_wall.mean() - p) <= 3.0 * math.sqrt(p * (1.0 - p) / n)
-        zeta = (x - x0)[~on_wall] + 1j * np.abs(y[~on_wall])
+        assert abs(exits.size / n - p) <= 3.0 * math.sqrt(p * (1.0 - p) / n)
+        arc = np.setdiff1d(j, exits)
+        zeta = (x - x0)[arc] + 1j * np.abs(y[arc])
         assert np.abs(np.abs(zeta) - radius).max() <= 1e-12
-        assert (np.sign(y[~on_wall]) == side).all()
+        assert (np.sign(y[arc]) == side).all()
+        assert (near[arc] == 0.0).all()
+
+    @pytest.mark.parametrize("side", [1.0, -1.0])
+    @pytest.mark.parametrize("r", [0.05, 0.3, 0.45])
+    def test_rational_law_matches_the_trigonometric_one(self, r, side):
+        # U = 0 (t = 0), U = 1/2 (t about 1.6e16) and the largest U below 1,
+        # as the angle stream draws them, then a sweep of U; the sweep keeps
+        # 2**-20 from U = 0, where pi (U - 1/2) loses the low bits of U and
+        # the trigonometric form with them (at U = 0 both see tan(-pi/2)
+        # in doubles)
+        half = 1 << 52
+        k = np.concatenate([
+            np.array([0, half, 2 * half - 1], dtype=np.uint64),
+            np.linspace(1 << 33, 2 * half - 1, 20_001).astype(np.uint64),
+        ])
+        theta = k * wos._ANGLE_UNIT
+        radius = 2.0
+        feats, x, y, near, second, index = _wall_walkers(r * radius, radius, side, k.size)
+        x0 = x.copy()
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            exits, j, _ = wos._half_disk_steps(feats, x, y, near, second, index, _tangent(theta))
+        assert j.size == k.size
+        assert np.isfinite(x).all() and np.isfinite(y).all()
+        want_exit, along, away = _trig_exit(r * radius, radius, theta)
+        got_exit = np.zeros(k.size, dtype=bool)
+        got_exit[exits] = True
+        assert (got_exit == want_exit).all()
+        arc = ~got_exit
+        assert np.abs((x - x0)[arc] - along[arc]).max() <= 1e-12 * radius
+        assert np.abs(y[arc] - side * away[arc]).max() <= 1e-12 * radius
+        # U = 0 reaches the arc next to the tip, U = 1/2 leaves through the
+        # diameter only where phi < pi/2, the largest U leaves through it
+        assert not got_exit[0] and (x - x0)[0] > radius * (1.0 - 1e-6)
+        assert got_exit[1] == (4.0 * math.atan(r) < math.pi / 2.0)
+        assert got_exit[2]
 
 
 class TestPlainStep:
@@ -338,7 +439,7 @@ class TestPlainStep:
         ])
         theta = k * wos._ANGLE_UNIT
         x, y = np.zeros(k.size), np.zeros(k.size)
-        wos._plain_step(x, y, np.ones(k.size), theta.copy())
+        wos._plain_step(x, y, np.ones(k.size), _tangent(theta), np.empty(k.size))
         assert np.isfinite(x).all() and np.isfinite(y).all()
         assert np.abs(x - np.cos(theta)).max() <= 4e-16
         assert np.abs(y - np.sin(theta)).max() <= 4e-16
@@ -350,7 +451,7 @@ class TestPlainStep:
         theta = _uniform_angles(_mix64(3), np.arange(10_000, dtype=np.uint64), 0)
         near = 10.0 ** np.linspace(-6, 6, theta.size)
         x, y = np.full(theta.size, 2.0), np.full(theta.size, -1.0)
-        wos._plain_step(x, y, near, theta)
+        wos._plain_step(x, y, near, _tangent(theta), np.empty(theta.size))
         assert np.allclose(np.hypot(x - 2.0, y + 1.0), near, rtol=1e-15, atol=1e-15)
 
 
@@ -388,33 +489,37 @@ class TestChunks:
 
 class TestKernelWork:
     """The points an estimate passes through ``FeatureArrays.distances``: one
-    per walker-step, one per absorbed walker on the pass that absorbs it,
-    and the start distance.  The benchmark's kernel spans count these."""
+    per walker-step, one per walker that the epsilon shell absorbs on the
+    pass that absorbs it, and the start distance.  A walker that leaves
+    through a wall's diameter is absorbed in its step and never reaches
+    the kernel again.  The benchmark's kernel spans count these."""
 
     @staticmethod
     def _points(monkeypatch, domain, t, params):
-        sizes = []
+        sizes, shell = [], []
         kernel = wos._FeatureArrays.distances
 
         def counted(self, x, *rest):
             sizes.append(x.size)
-            return kernel(self, x, *rest)
+            near = kernel(self, x, *rest)
+            shell.append(int(np.count_nonzero(near <= params.epsilon_shell)))
+            return near
 
         monkeypatch.setattr(wos._FeatureArrays, "distances", counted)
         est = estimate_upper_measure(domain, complex(t, 0.0), params)
-        assert sum(sizes) == est.walker_steps + est.walkers_used + 1
+        assert sum(sizes) == est.walker_steps + sum(shell) + 1
         return sum(sizes), est
 
     def test_readme_comb_block_3_anchor(self, readme_comb, monkeypatch):
         points, est = self._points(
             monkeypatch, readme_comb, 2880.0, WosParams(walkers=1_000_000, seed=42))
-        assert (points, est.walker_steps, est.walkers_used) == (4_519_920, 3_519_919, 1_000_000)
+        assert (points, est.walker_steps, est.walkers_used) == (3_520_829, 3_519_919, 1_000_000)
 
     def test_lost_walkers(self, monkeypatch):
         params = WosParams(walkers=2_000, seed=1, max_steps=12)
         points, est = self._points(monkeypatch, pseudo_strip(1.0, 3.0, 8.0), 0.0, params)
         assert est.lost > 0
-        assert points == 9_266
+        assert points == 7_326
 
 
 class _FullKernel(wos._FeatureArrays):
