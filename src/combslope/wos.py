@@ -34,11 +34,17 @@ step turns its angle ``theta`` into a direction through ``tan(theta / 2)``,
 so the last bits of a step follow numpy's ``tan`` dispatch, as they
 followed libm's ``cos`` and ``sin`` before.
 
-Memory: walkers run in chunks of ``_CHUNK`` with their global ids, and the
-distance kernel keeps a running minimum, second minimum and nearest index
-per point instead of a features-by-walkers matrix, with no masked write.
-An estimate is bit-identical for any chunk size, and its memory is bounded
-by the chunk, not by the walker count.  The kernel is built with the local
+Memory: one pool of at most ``_CHUNK`` walkers, in fixed buffers, walks
+an estimate's walkers with their global ids; as walkers are absorbed, the
+next ids enter in the room they leave, so no iteration waits on the tail
+of a batch.  The start point is measured once, and its kernel values are
+copied into every walker that enters.  Walkers in the pool differ in
+their step count, so each draws with its own step's key, gathered from a
+table that grows with the oldest walker.  The distance kernel keeps a
+running minimum, second minimum and nearest index per point instead of a
+features-by-walkers matrix, with no masked write.  An estimate is
+bit-identical for any pool size, and its memory is bounded by the pool,
+not by the walker count.  The kernel is built with the local
 candidate set around the start point: a walker near it is measured against
 the few nearest features only, and every other walker against all of them.
 That set never changes a result (see ``FeatureArrays.distances``).
@@ -72,8 +78,9 @@ __all__ = [
 
 RNG_ALGORITHM = "splitmix64-angles-v1"
 
-# walkers per chunk: bounds an estimate's temporaries, never its result
-_CHUNK = 1 << 16
+# walkers in the pool: bounds an estimate's temporaries, never its
+# result; at 2**14 the pool's seven buffers, 128 KiB each, fit a 2 MiB L2
+_CHUNK = 1 << 14
 
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -106,13 +113,30 @@ _ANGLE_UNIT = np.array(2.0 * np.pi / 9007199254740992.0)
 _THREE = np.array(3.0)
 
 
-def _uniform_angles(seed_mixed: int, walker_ids: np.ndarray, step: int) -> np.ndarray:
-    """One uniform [0, 2*pi) angle per walker for this step (vectorized)."""
-    key = _mix64(seed_mixed + (step + 1) * _STEP_SALT)
+def _step_keys(seed_mixed: int, count: int) -> np.ndarray:
+    """The stream's key of each step ``s < count``,
+    ``mix64(seed_mixed + (s + 1) * _STEP_SALT)``, vectorized."""
+    _, c1, c2, s30, s27, s31, _ = _U64
+    x = np.arange(1, count + 1, dtype=np.uint64)
+    x *= np.array(_STEP_SALT, dtype=np.uint64)
+    x += np.array(seed_mixed, dtype=np.uint64)
+    x ^= x >> s30
+    x *= c1
+    x ^= x >> s27
+    x *= c2
+    x ^= x >> s31
+    return x
+
+
+def _uniform_angles(walker_ids: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """One uniform [0, 2*pi) angle per walker, from its id and the key of
+    its step (see :func:`_step_keys`), so walkers at different steps can
+    draw in one call (vectorized)."""
     gamma, c1, c2, s30, s27, s31, s11 = _U64
-    # (id + 1) * gamma + key, with the constant terms folded mod 2**64
+    # (id + 1) * gamma + key, mod 2**64
     x = walker_ids * gamma
-    x += np.array((_GAMMA + key) & _MASK, dtype=np.uint64)
+    x += gamma
+    x += keys
     x ^= x >> s30
     x *= c1
     x ^= x >> s27
@@ -226,13 +250,7 @@ def estimate_upper_measure(
     seed_mixed = _mix64(params.seed)
 
     n = params.walkers
-    upper_hits = absorbed = steps = 0
-    for lo in range(0, n, _CHUNK):
-        hits, done, taken = _walk(feats, slice(lo, min(lo + _CHUNK, n)), seed_mixed, params)
-        upper_hits += hits
-        absorbed += done
-        steps += taken
-
+    upper_hits, absorbed, steps = _walk(feats, seed_mixed, params)
     lost = n - absorbed
     elapsed = time.perf_counter() - t0
     if absorbed == 0:
@@ -246,66 +264,114 @@ def estimate_upper_measure(
     return MeasureEstimate(mean, stderr, absorbed, lost, elapsed, valid, steps)
 
 
-def _walk(feats: _FeatureArrays, chunk: slice, seed_mixed: int, params: WosParams):
-    """Walk the walkers with global ids in ``chunk`` from the origin until
-    each is absorbed or out of steps; returns ``(upper hits, absorbed,
-    walker-steps)``.  Only this frame holds the ids, so they shrink with
-    the active walkers."""
-    ids = np.arange(chunk.start, chunk.stop, dtype=np.uint64)
+def _walk(feats: _FeatureArrays, seed_mixed: int, params: WosParams):
+    """Walk walkers ``0 .. walkers - 1`` from the origin until each is
+    absorbed or out of steps; returns ``(upper hits, absorbed,
+    walker-steps)``.
+
+    One pool of at most ``_CHUNK`` walkers, in fixed buffers, walks them
+    all.  Each iteration first admits the next ids into the room that the
+    walkers gone last iteration left, with the start point's kernel values,
+    measured once; then every walker in the pool draws, steps, and is
+    measured.  Ids enter in increasing order and compaction keeps the
+    order, so the step counts never increase along the pool: the walkers
+    on their last step are a prefix, and ``step[0]`` is the largest."""
+    n, last = params.walkers, params.max_steps - 1
     eps = np.array(params.epsilon_shell)
-    x = np.zeros(ids.size)
-    y = np.zeros(ids.size)
-    second_buf = np.empty(ids.size)
-    index_buf = np.empty(ids.size, dtype=np.intp)
+    origin = np.zeros(1)
+    second0, index0 = np.empty(1), np.empty(1, dtype=np.intp)
+    near0 = feats.distances(origin, origin, second0, index0)
+    if near0[0] <= eps:
+        # every walker is absorbed where it starts, before its first draw
+        return n * int(feats.is_upper[index0[0]]), n, 0
+    size = min(_CHUNK, n)
+    x, y, near, second = (np.empty(size) for _ in range(4))
+    ids = np.empty(size, dtype=np.uint64)
+    step = np.empty(size, dtype=np.intp)
+    index = np.empty(size, dtype=np.intp)
+    keys = _step_keys(seed_mixed, min(64, params.max_steps))
     upper_hits = absorbed = steps = 0
-    last = params.max_steps - 1
-    for step in range(params.max_steps):
-        second, index = second_buf[: ids.size], index_buf[: ids.size]
-        near = feats.distances(x, y, second, index)
-        hit = near <= eps
-        if hit.any():
-            upper_hits += int(np.count_nonzero(feats.is_upper[index[hit]]))
-            absorbed += int(np.count_nonzero(hit))
-            # one index array: a gather costs less than a random mask
-            keep = np.flatnonzero(~hit)
-            x = x.take(keep)
-            y = y.take(keep)
-            ids = ids.take(keep)
-            near = near.take(keep)
-            second[: ids.size] = second.take(keep)
-            index[: ids.size] = index.take(keep)
-            second, index = second[: ids.size], index[: ids.size]
-            del hit, keep
-            if ids.size == 0:
-                break
-        theta = _uniform_angles(seed_mixed, ids, step)
-        steps += ids.size
-        if step == last:
-            # the last draw moves no walker: one still out is lost, even
-            # one that this step would take out through a diameter
-            break
+    m = admitted = 0  # walkers in the pool, walkers admitted so far
+    while m or admitted < n:
+        k = min(size - m, n - admitted)
+        if k:
+            new = slice(m, m + k)
+            x[new] = 0.0
+            y[new] = 0.0
+            ids[new] = np.arange(admitted, admitted + k, dtype=np.uint64)
+            step[new] = 0
+            near[new] = near0
+            second[new] = second0
+            index[new] = index0
+            m += k
+            admitted += k
+        while keys.size <= step[0]:
+            keys = _step_keys(seed_mixed, min(2 * keys.size, params.max_steps))
+        theta = _uniform_angles(ids[:m], keys.take(step[:m]))
+        steps += m
+        # the last draw moves no walker: one still out is lost, even one
+        # that this step would take out through a diameter
+        lo = int(np.count_nonzero(step[:m] == last)) if step[0] == last else 0
         # the half-angle tangent, shared by both steps
-        t = np.multiply(theta, 0.5, out=theta)
+        t = theta[lo:]
+        np.multiply(t, 0.5, out=t)
         np.tan(t, out=t)
         del theta
-        exits = _half_disk_steps(feats, x, y, near, second, index, t)[0]
-        _plain_step(x, y, near, t, second)
-        del t, near
+        live = slice(lo, m)
+        x_, y_, near_, second_, index_ = x[live], y[live], near[live], second[live], index[live]
+        exits = _half_disk_steps(feats, x_, y_, near_, second_, index_, t)[0]
+        _plain_step(x_, y_, near_, t, second_)
+        del t
         if exits.size:
             # absorbed on the nearest feature, whose label the kernel would
             # read at the foot point
-            upper_hits += int(np.count_nonzero(feats.is_upper[index[exits]]))
+            upper_hits += int(np.count_nonzero(feats.is_upper[index_[exits]]))
             absorbed += exits.size
-            keep = np.ones(ids.size, dtype=bool)
-            keep[exits] = False
-            keep = np.flatnonzero(keep)
-            x = x.take(keep)
-            y = y.take(keep)
-            ids = ids.take(keep)
-            del keep
-            if ids.size == 0:
-                break
+        if exits.size or lo:
+            exits += lo
+            m = _drop((x, y, ids, step), m, exits, lo)
+        if not m:
+            continue
+        step[:m] += 1
+        moved = feats.distances(x[:m], y[:m], second[:m], index[:m])
+        near[:m] = moved
+        gone = np.flatnonzero(moved <= eps)
+        del moved
+        if gone.size:
+            upper_hits += int(np.count_nonzero(feats.is_upper[index.take(gone)]))
+            absorbed += gone.size
+            m = _drop((x, y, ids, step, near, second, index), m, gone)
     return upper_hits, absorbed, steps
+
+
+def _drop(buffers, m, gone, first=0):
+    """Keep the walkers ``first .. m - 1`` but those at the sorted
+    positions ``gone``, in order, at the front of every buffer; returns
+    how many are kept.
+
+    Many gaps take one gather by an index array, which numpy buffers since
+    its output overlaps its input.  A few close by moving the runs between
+    them down, one slice assignment each, which numpy does in place.  A gap
+    costs about as much as gathering 512 walkers.
+    """
+    kept = m - first - gone.size
+    if gone.size << 9 > m:
+        keep = np.ones(m - first, dtype=bool)
+        keep[gone - first] = False
+        keep = np.flatnonzero(keep)
+        keep += first
+        for a in buffers:
+            a.take(keep, out=a[:kept])
+        return kept
+    starts = [first, *(gone + 1).tolist()]
+    ends = [*gone.tolist(), m]
+    for a in buffers:
+        to = 0
+        for lo, hi in zip(starts, ends):
+            if to != lo:
+                a[to:to + hi - lo] = a[lo:hi]
+            to += hi - lo
+    return kept
 
 
 def _plain_step(x, y, near, t, k):

@@ -25,7 +25,9 @@ from combslope.wos import (
     RNG_ALGORITHM,
     MeasureEstimate,
     WosParams,
+    _STEP_SALT,
     _mix64,
+    _step_keys,
     _uniform_angles,
     derive_seed,
     estimate_profile,
@@ -33,6 +35,11 @@ from combslope.wos import (
     estimate_upper_measure,
     profile_to_csv,
 )
+
+
+def _angles(seed_mixed, ids, step):
+    """Every walker's angle at one step."""
+    return _uniform_angles(ids, _step_keys(seed_mixed, step + 1)[step])
 
 
 class TestStream:
@@ -48,7 +55,7 @@ class TestStream:
 
     def test_frozen_angles(self):
         ids = np.arange(4, dtype=np.uint64)
-        got = _uniform_angles(_mix64(1), ids, 3)
+        got = _angles(_mix64(1), ids, 3)
         want = [
             0.2165345885196064,
             2.5548394035497424,
@@ -57,16 +64,37 @@ class TestStream:
         ]
         assert got == pytest.approx(want, abs=0.0)
 
+    def test_step_keys_follow_the_scalar_rule(self):
+        seed_mixed = _mix64(11)
+        keys = _step_keys(seed_mixed, 100_000)
+        assert keys.dtype == np.uint64 and keys.size == 100_000
+        for s in [*range(300), 99_999]:
+            assert int(keys[s]) == _mix64(seed_mixed + (s + 1) * _STEP_SALT)
+        # a longer table extends a shorter one
+        assert np.array_equal(_step_keys(seed_mixed, 300), keys[:300])
+
     def test_angles_depend_only_on_walker_and_step(self):
         # batching must not matter: a sub-slice sees identical values
         ids = np.arange(100, dtype=np.uint64)
-        all_angles = _uniform_angles(_mix64(9), ids, 17)
-        sub = _uniform_angles(_mix64(9), ids[40:50], 17)
+        all_angles = _angles(_mix64(9), ids, 17)
+        sub = _angles(_mix64(9), ids[40:50], 17)
         assert np.array_equal(all_angles[40:50], sub)
+
+    def test_walkers_at_different_steps_draw_in_one_call(self):
+        # a refilled pool: older walkers at later steps, in one draw
+        seed_mixed = _mix64(9)
+        ids = np.arange(40, 140, dtype=np.uint64)
+        steps = np.repeat([25, 7, 3, 0], 25)
+        mixed = _uniform_angles(ids, _step_keys(seed_mixed, 26).take(steps))
+        for s in (25, 7, 3, 0):
+            at = steps == s
+            assert np.array_equal(mixed[at], _angles(seed_mixed, ids[at], s))
+        # the same walker at another step draws another angle
+        assert not np.array_equal(mixed[:25], _angles(seed_mixed, ids[:25], 7))
 
     def test_angle_range(self):
         ids = np.arange(10_000, dtype=np.uint64)
-        a = _uniform_angles(_mix64(3), ids, 0)
+        a = _angles(_mix64(3), ids, 0)
         assert a.min() >= 0.0 and a.max() < 2 * math.pi
         assert abs(a.mean() - math.pi) < 0.05
 
@@ -356,7 +384,7 @@ class TestHalfDiskStep:
         y = feats.wall_y[k] + rng.choice([-1, 1], k.size) * 10.0 ** rng.uniform(-4, 1.5, k.size)
         second, index = np.empty_like(x), np.empty(x.shape, dtype=np.intp)
         near = feats.distances(x, y, second, index)
-        theta = _uniform_angles(_mix64(5), np.arange(x.size, dtype=np.uint64), 0)
+        theta = _angles(_mix64(5), np.arange(x.size, dtype=np.uint64), 0)
         d, d2 = near.copy(), second.copy()
         exits, j, radius = wos._half_disk_steps(
             feats, x.copy(), y.copy(), near, second, index, _tangent(theta))
@@ -377,7 +405,7 @@ class TestHalfDiskStep:
         d, radius, n = 0.3, 1.0, 200_000
         feats, x, y, near, second, index = _wall_walkers(d, radius, side, n)
         x0, y0 = x.copy(), y.copy()
-        theta = _uniform_angles(_mix64(17), np.arange(n, dtype=np.uint64), 0)
+        theta = _angles(_mix64(17), np.arange(n, dtype=np.uint64), 0)
         exits, j, got = wos._half_disk_steps(feats, x, y, near, second, index, _tangent(theta))
         assert j.size == n and (got == radius).all()
         # walkers that leave through the diameter stay put: the walk absorbs them
@@ -448,30 +476,74 @@ class TestPlainStep:
         assert at_pi.any() and (x[at_pi] == -1.0).all()
 
     def test_step_has_the_radius(self):
-        theta = _uniform_angles(_mix64(3), np.arange(10_000, dtype=np.uint64), 0)
+        theta = _angles(_mix64(3), np.arange(10_000, dtype=np.uint64), 0)
         near = 10.0 ** np.linspace(-6, 6, theta.size)
         x, y = np.full(theta.size, 2.0), np.full(theta.size, -1.0)
         wos._plain_step(x, y, near, _tangent(theta), np.empty(theta.size))
         assert np.allclose(np.hypot(x - 2.0, y + 1.0), near, rtol=1e-15, atol=1e-15)
 
 
+def _outcome(domain, t, params):
+    """An estimate's tally, or the text of the error it raised."""
+    try:
+        return _tally(domain, t, params)
+    except EstimationError as exc:
+        return str(exc)
+
+
 class TestChunks:
+    """The walker pool: at most ``_CHUNK`` walkers, refilled with the next
+    walker ids as others are absorbed.  Its size never changes a result,
+    and it bounds an estimate's memory."""
+
     def test_chunk_size_never_changes_the_tally(self, readme_comb, monkeypatch):
         # 1,003 walkers: a multiple of neither 7 nor 1000
-        p = WosParams(walkers=1_003, seed=42)
-        want = _tally(readme_comb, 2880.0, p)
-        for chunk in (1, 7, 1000):
-            monkeypatch.setattr(wos, "_CHUNK", chunk)
-            assert _tally(readme_comb, 2880.0, p) == want
+        default = wos._CHUNK
+        for max_steps in (1, 2, 3, 100_000):
+            p = WosParams(walkers=1_003, seed=42, max_steps=max_steps)
+            monkeypatch.setattr(wos, "_CHUNK", default)
+            want = _outcome(readme_comb, 2880.0, p)
+            if max_steps < 3:
+                # no walker reaches a wall in its first step: every one is lost
+                assert want == (f"all 1003 walkers lost (max_steps = {max_steps}, "
+                                "epsilon_shell = 1e-06, scale = 35.99999999999999)")
+            for chunk in (1, 7, 1000):
+                monkeypatch.setattr(wos, "_CHUNK", chunk)
+                assert _outcome(readme_comb, 2880.0, p) == want
 
     def test_lost_walkers_add_up_across_chunks(self, monkeypatch):
         dom = pseudo_strip(1.0, 3.0, 8.0)
-        p = WosParams(walkers=2_000, seed=1, max_steps=12)
-        want = _tally(dom, 0.0, p)
-        assert want[3] > 0
-        for chunk in (1, 7, 1000):
-            monkeypatch.setattr(wos, "_CHUNK", chunk)
-            assert _tally(dom, 0.0, p) == want
+        default = wos._CHUNK
+        for max_steps in (1, 2, 3, 12):
+            p = WosParams(walkers=2_000, seed=1, max_steps=max_steps)
+            monkeypatch.setattr(wos, "_CHUNK", default)
+            want = _outcome(dom, 0.0, p)
+            if max_steps < 3:
+                assert want.startswith("all 2000 walkers lost")
+            else:
+                assert want[3] > 0
+            for chunk in (1, 7, 1000):
+                monkeypatch.setattr(wos, "_CHUNK", chunk)
+                assert _outcome(dom, 0.0, p) == want
+
+    def test_the_pool_is_refilled(self, readme_comb, monkeypatch):
+        # walkers enter as others leave, so 32 times the walkers take far
+        # fewer than 32 times the kernel passes: a loop over chunks of the
+        # pool's size would pay every chunk's tail
+        monkeypatch.setattr(wos, "_CHUNK", 1024)
+        calls = []
+        kernel = wos._FeatureArrays.distances
+
+        def counted(self, *args):
+            calls[-1] += 1
+            return kernel(self, *args)
+
+        monkeypatch.setattr(wos._FeatureArrays, "distances", counted)
+        for seed in (42, 1, 2):
+            for walkers in (1_024, 32_768):
+                calls.append(0)
+                estimate_upper_measure(readme_comb, 2880 + 0j, WosParams(walkers=walkers, seed=seed))
+            assert calls[-1] <= 12 * calls[-2]
 
     def test_memory_is_bounded_by_the_chunk(self, readme_comb, monkeypatch):
         monkeypatch.setattr(wos, "_CHUNK", 1024)
@@ -486,13 +558,25 @@ class TestChunks:
                 tracemalloc.stop()
         assert peaks[1] < 1.5 * peaks[0]
 
+    def test_memory_of_a_large_estimate(self, readme_comb):
+        # one 10**6-walker estimate at the default pool size
+        tracemalloc.start()
+        try:
+            estimate_upper_measure(readme_comb, 2880 + 0j, WosParams(walkers=1_000_000, seed=42))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * 2**20
+
 
 class TestKernelWork:
-    """The points an estimate passes through ``FeatureArrays.distances``: one
-    per walker-step, one per walker that the epsilon shell absorbs on the
-    pass that absorbs it, and the start distance.  A walker that leaves
-    through a wall's diameter is absorbed in its step and never reaches
-    the kernel again.  The benchmark's kernel spans count these."""
+    """The points an estimate passes through ``FeatureArrays.distances``: the
+    start distance of ``boundary_distance``, the start point once for all
+    walkers, one per walker-step but each walker's last, and one per walker
+    that the epsilon shell absorbs.  A walker that leaves through a wall's
+    diameter is absorbed in its step, and one whose last allowed step is
+    drawn is lost where it stands; neither reaches the kernel again.  The
+    benchmark's kernel spans count these."""
 
     @staticmethod
     def _points(monkeypatch, domain, t, params):
@@ -507,19 +591,19 @@ class TestKernelWork:
 
         monkeypatch.setattr(wos._FeatureArrays, "distances", counted)
         est = estimate_upper_measure(domain, complex(t, 0.0), params)
-        assert sum(sizes) == est.walker_steps + sum(shell) + 1
+        assert sum(sizes) == est.walker_steps + sum(shell) + 2 - params.walkers
         return sum(sizes), est
 
     def test_readme_comb_block_3_anchor(self, readme_comb, monkeypatch):
         points, est = self._points(
             monkeypatch, readme_comb, 2880.0, WosParams(walkers=1_000_000, seed=42))
-        assert (points, est.walker_steps, est.walkers_used) == (3_520_829, 3_519_919, 1_000_000)
+        assert (points, est.walker_steps, est.walkers_used) == (2_520_830, 3_519_919, 1_000_000)
 
     def test_lost_walkers(self, monkeypatch):
         params = WosParams(walkers=2_000, seed=1, max_steps=12)
         points, est = self._points(monkeypatch, pseudo_strip(1.0, 3.0, 8.0), 0.0, params)
         assert est.lost > 0
-        assert points == 7_326
+        assert points == 5_327
 
 
 class _FullKernel(wos._FeatureArrays):
