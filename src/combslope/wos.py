@@ -305,7 +305,8 @@ def _walk(feats: _FeatureArrays, seed_mixed: int, params: WosParams):
             index[new] = index0
             m += k
             admitted += k
-        while keys.size <= step[0]:
+        if keys.size <= step[0]:
+            # steps grow by one a pass, so one doubling is enough
             keys = _step_keys(seed_mixed, min(2 * keys.size, params.max_steps))
         theta = _uniform_angles(ids[:m], keys.take(step[:m]))
         steps += m
@@ -349,29 +350,16 @@ def _drop(buffers, m, gone, first=0):
     positions ``gone``, in order, at the front of every buffer; returns
     how many are kept.
 
-    Many gaps take one gather by an index array, which numpy buffers since
-    its output overlaps its input.  A few close by moving the runs between
-    them down, one slice assignment each, which numpy does in place.  A gap
-    costs about as much as gathering 512 walkers.
+    One gather by an index array, which numpy buffers since its output
+    overlaps its input.
     """
-    kept = m - first - gone.size
-    if gone.size << 9 > m:
-        keep = np.ones(m - first, dtype=bool)
-        keep[gone - first] = False
-        keep = np.flatnonzero(keep)
-        keep += first
-        for a in buffers:
-            a.take(keep, out=a[:kept])
-        return kept
-    starts = [first, *(gone + 1).tolist()]
-    ends = [*gone.tolist(), m]
+    keep = np.ones(m - first, dtype=bool)
+    keep[gone - first] = False
+    keep = np.flatnonzero(keep)
+    keep += first
     for a in buffers:
-        to = 0
-        for lo, hi in zip(starts, ends):
-            if to != lo:
-                a[to:to + hi - lo] = a[lo:hi]
-            to += hi - lo
-    return kept
+        a.take(keep, out=a[:keep.size])
+    return keep.size
 
 
 def _plain_step(x, y, near, t, k):
