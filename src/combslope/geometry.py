@@ -163,7 +163,7 @@ class FeatureArrays:
         limit = min(float((dist[~near] - rho).min()), _LIMIT_CAP) * (1.0 - _MARGIN)
         if not limit >= _SCALE_FLOOR:
             return None
-        disk = rho * (1.0 - _MARGIN)
+        disk = min(rho, _LIMIT_CAP) * (1.0 - _MARGIN)
         subset = [f for f, keep in zip(self._features, near) if keep]
         return _Candidates(subset, np.array(disk * disk), np.array(limit * limit))
 
@@ -258,9 +258,9 @@ class FeatureArrays:
         at most a factor 2 since ``D_k > 2 rho``); squaring a bound adds
         ``3u``.  That is under ``25u`` in all, against the margin's
         ``2e-12``, about ``18000u``.  The bound holds for normal squares
-        only, so ``L`` is capped at 1e150 (a smaller bound is still a
-        bound), and no set is built when half the gap or ``L`` is below
-        1e-145.
+        only, so ``L`` and the disk's radius are capped at 1e150 (a
+        smaller bound is still a bound), and no set is built when half the
+        gap or ``L`` is below 1e-145.
         """
         if self._local is None:
             near = self._running_min(self._features, x, y, second, index)

@@ -34,20 +34,23 @@ step turns its angle ``theta`` into a direction through ``tan(theta / 2)``,
 so the last bits of a step follow numpy's ``tan`` dispatch, as they
 followed libm's ``cos`` and ``sin`` before.
 
-Memory: one pool of at most ``_CHUNK`` walkers, in fixed buffers, walks
-an estimate's walkers with their global ids; as walkers are absorbed, the
-next ids enter in the room they leave, so no iteration waits on the tail
-of a batch.  The start point is measured once, and its kernel values are
-copied into every walker that enters.  Walkers in the pool differ in
-their step count, so each draws with its own step's key, gathered from a
-table that grows with the oldest walker.  The distance kernel keeps a
-running minimum, second minimum and nearest index per point instead of a
-features-by-walkers matrix, with no masked write.  An estimate is
-bit-identical for any pool size, and its memory is bounded by the pool,
-not by the walker count.  The kernel is built with the local
-candidate set around the start point: a walker near it is measured against
-the few nearest features only, and every other walker against all of them.
-That set never changes a result (see ``FeatureArrays.distances``).
+Memory: one pool of at most ``_CHUNK`` walkers, in fixed buffers, walks an
+estimate's walkers with their global ids; the next ids enter in the room
+that absorbed walkers leave, so no iteration waits on the tail of a
+batch.  The start point is measured once, and its kernel values are copied
+into every walker that enters.  Each walker draws with the key of its own
+step, from a table that grows with the largest step.  A walker's draws
+follow its id and step and its fields move together, so the pool's order
+never matters: survivors from the pool's tail fill the slots of walkers
+that leave, and those on their last step are found by comparing step
+counts.  The distance kernel keeps a running minimum, second minimum and
+nearest index per point instead of a features-by-walkers matrix, with no
+masked write.  An estimate is bit-identical for any pool size, and its
+memory is bounded by the pool, not by the walker count.  The kernel is
+built with the local candidate set around the start point: a walker near it
+is measured against the few nearest features only, and every other walker
+against all of them.  That set never changes a result (see
+``FeatureArrays.distances``).
 """
 
 from __future__ import annotations
@@ -273,9 +276,8 @@ def _walk(feats: _FeatureArrays, seed_mixed: int, params: WosParams):
     all.  Each iteration first admits the next ids into the room that the
     walkers gone last iteration left, with the start point's kernel values,
     measured once; then every walker in the pool draws, steps, and is
-    measured.  Ids enter in increasing order and compaction keeps the
-    order, so the step counts never increase along the pool: the walkers
-    on their last step are a prefix, and ``step[0]`` is the largest."""
+    measured.  The pool's order never matters (see the module notes): the
+    walkers on their last step are found by comparing step counts."""
     n, last = params.walkers, params.max_steps - 1
     eps = np.array(params.epsilon_shell)
     origin = np.zeros(1)
@@ -305,32 +307,32 @@ def _walk(feats: _FeatureArrays, seed_mixed: int, params: WosParams):
             index[new] = index0
             m += k
             admitted += k
-        if keys.size <= step[0]:
+        top = int(step[:m].max())
+        if keys.size <= top:
             # steps grow by one a pass, so one doubling is enough
             keys = _step_keys(seed_mixed, min(2 * keys.size, params.max_steps))
         theta = _uniform_angles(ids[:m], keys.take(step[:m]))
         steps += m
-        # the last draw moves no walker: one still out is lost, even one
-        # that this step would take out through a diameter
-        lo = int(np.count_nonzero(step[:m] == last)) if step[0] == last else 0
+        if top == last:
+            # the last draw moves no walker: one still out is lost, even one
+            # that this step would take out through a diameter
+            lost = np.flatnonzero(step[:m] == last)
+            m = _drop((x, y, ids, step, near, second, index, theta), m, lost)
         # the half-angle tangent, shared by both steps
-        t = theta[lo:]
+        t = theta[:m]
         np.multiply(t, 0.5, out=t)
         np.tan(t, out=t)
         del theta
-        live = slice(lo, m)
-        x_, y_, near_, second_, index_ = x[live], y[live], near[live], second[live], index[live]
-        exits = _half_disk_steps(feats, x_, y_, near_, second_, index_, t)[0]
+        x_, y_, near_, second_ = x[:m], y[:m], near[:m], second[:m]
+        exits = _half_disk_steps(feats, x_, y_, near_, second_, index[:m], t)[0]
         _plain_step(x_, y_, near_, t, second_)
         del t
         if exits.size:
             # absorbed on the nearest feature, whose label the kernel would
             # read at the foot point
-            upper_hits += int(np.count_nonzero(feats.is_upper[index_[exits]]))
+            upper_hits += int(np.count_nonzero(feats.is_upper[index.take(exits)]))
             absorbed += exits.size
-        if exits.size or lo:
-            exits += lo
-            m = _drop((x, y, ids, step), m, exits, lo)
+            m = _drop((x, y, ids, step), m, exits)
         if not m:
             continue
         step[:m] += 1
@@ -345,21 +347,19 @@ def _walk(feats: _FeatureArrays, seed_mixed: int, params: WosParams):
     return upper_hits, absorbed, steps
 
 
-def _drop(buffers, m, gone, first=0):
-    """Keep the walkers ``first .. m - 1`` but those at the sorted
-    positions ``gone``, in order, at the front of every buffer; returns
-    how many are kept.
-
-    One gather by an index array, which numpy buffers since its output
-    overlaps its input.
-    """
-    keep = np.ones(m - first, dtype=bool)
-    keep[gone - first] = False
-    keep = np.flatnonzero(keep)
-    keep += first
+def _drop(buffers, m, gone):
+    """Remove the walkers at the sorted positions ``gone < m`` from every
+    buffer; returns the walkers kept, ``rest = m - gone.size``.  Survivors
+    in slots ``rest .. m - 1`` fill the holes below ``rest``: per buffer,
+    one gather and one scatter of at most ``gone.size`` entries."""
+    rest = m - gone.size
+    holes = gone[gone < rest]
+    kept = np.ones(gone.size, dtype=bool)
+    kept[gone[holes.size:] - rest] = False
+    movers = np.flatnonzero(kept) + rest
     for a in buffers:
-        a.take(keep, out=a[:keep.size])
-    return keep.size
+        a[holes] = a.take(movers)
+    return rest
 
 
 def _plain_step(x, y, near, t, k):

@@ -275,6 +275,21 @@ class TestCandidateSets:
         assert [int(f[0]) for f in local._local.features] == [12, 13, 14, 15]
         assert (near[::3].tolist(), index[::3].tolist()) == ([1.0, 1.0], [12, 13])
 
+    def test_disk_radius_is_capped(self):
+        # in the walkers' frame of scale 1.5e-154 the feature at 9i lies
+        # 6e154 away, so rho = 2**513, whose square overflows; capped at
+        # 1e150 the disk stays finite, and so do the points on its edge
+        feats = [(HalfLine(9j), "upper")] + [(HalfLine(0j), "upper")] * 4
+        origin, scale = 1.5e-154j, 1.5e-154
+        local = FeatureArrays(feats, origin, scale)._local
+        assert local.disk_sq == (1e150 * (1.0 - 1e-12)) ** 2
+        rho = math.sqrt(local.disk_sq)
+        x = np.array([rho, -rho, 0.0, 0.0, 2.0 * rho, 0.0])
+        y = np.array([0.0, 0.0, rho, -rho, 0.0, 1.0])
+        _, (near, _, index) = _same_as_full(feats, x, y, origin, scale)
+        assert np.isfinite(near).all()
+        assert index.tolist() == [1] * 6
+
     def test_more_than_256_features_widen_the_index(self):
         rng = np.random.default_rng(30)
         anchors = rng.uniform(-150.0, 150.0, 300) + 1j * rng.uniform(-6.0, 6.0, 300)

@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from combslope.comb import (
     DROP_TOOTH,
@@ -545,6 +547,31 @@ class TestChunks:
                 estimate_upper_measure(readme_comb, 2880 + 0j, WosParams(walkers=walkers, seed=seed))
             assert calls[-1] <= 12 * calls[-2]
 
+    def test_the_key_table_doubles_up_to_max_steps(self, readme_comb, monkeypatch):
+        # the table follows the pool's largest step, wherever that walker
+        # sits, and never holds a key past the last step
+        counts = []
+        step_keys = wos._step_keys
+
+        def recorded(seed_mixed, count):
+            counts.append(count)
+            return step_keys(seed_mixed, count)
+
+        monkeypatch.setattr(wos, "_step_keys", recorded)
+        cases = ((readme_comb, 2880.0, 1_003, 42), (pseudo_strip(1.0, 3.0, 8.0), 0.0, 2_000, 1))
+        grown = 0
+        for domain, t, walkers, seed in cases:
+            # at 100 steps the table grows past its first 64 keys
+            for max_steps, chunks in ((3, (1, 7, 1000)), (12, (1, 7, 1000)), (100, (1000,))):
+                p = WosParams(walkers=walkers, seed=seed, max_steps=max_steps)
+                for chunk in chunks:
+                    monkeypatch.setattr(wos, "_CHUNK", chunk)
+                    counts.clear()
+                    _outcome(domain, t, p)
+                    assert counts == [min(64 << i, max_steps) for i in range(len(counts))]
+                    grown += len(counts) > 1
+        assert grown
+
     def test_memory_is_bounded_by_the_chunk(self, readme_comb, monkeypatch):
         monkeypatch.setattr(wos, "_CHUNK", 1024)
         peaks = []
@@ -567,6 +594,31 @@ class TestChunks:
         finally:
             tracemalloc.stop()
         assert peak <= 3 * 2**20
+
+
+class TestDrop:
+    """Removing walkers from the pool: the survivors from its tail fill the
+    holes, so the pool's order changes but no walker's fields part."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_drop_fills_the_holes_from_the_tail(self, data):
+        size = data.draw(st.integers(1, 80))
+        m = data.draw(st.integers(0, size))
+        gone = np.array(sorted(data.draw(st.sets(st.integers(0, max(m - 1, 0))))) if m else [],
+                        dtype=np.intp)
+        # walker w holds w, w + 0.5 and -w in its slot
+        walkers = np.arange(size)
+        buffers = (walkers.astype(np.uint64), walkers + 0.5, -walkers)
+        before = [a.copy() for a in buffers]
+        rest = wos._drop(buffers, m, gone)
+        assert rest == m - gone.size
+        kept = buffers[0][:rest].astype(np.intp)
+        assert sorted(kept.tolist()) == sorted(set(range(m)) - set(gone.tolist()))
+        for a, old in zip(buffers, before):
+            assert np.array_equal(a[:rest], old[kept])
+            assert np.count_nonzero(a != old) <= gone.size
+            assert np.array_equal(a[m:], old[m:])
 
 
 class TestKernelWork:
