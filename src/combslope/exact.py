@@ -3,25 +3,16 @@
 The strip, two-tooth and disk-arc values are exact; the grid oracle is an
 independent brute-force check (5-point stencil, Dirichlet data 1 on cells
 labeled one and 0 on cells labeled zero).  Grid problems are built from a
-labels array, directly or by the builders below.
+labels array, directly or by the strip, square and rectangle builders below.
 
-A grid whose inner cells (all but the outer ring) are all interior is a box
-problem: the strip, square and rectangle builders make one.  There the
+The grid oracle solves box problems only: every inner cell (all but the
+outer ring) interior and every ring cell labeled one or zero.  There the
 5-point system is separable, and a discrete sine transform (DST-I) along
 both axes diagonalises it, so it is solved directly (Buzbee, Golub &
 Nielson, SIAM J. Numer. Anal. 7, 1970).  Each DST-I is the real FFT of the
 odd extension of a line, taken in batches of lines with a small scratch
-buffer, so the solve works in place on the field.
-
-A masked grid (exterior cells or boundary labels inside the ring, as in
-the disk and the comb rasters) is solved by conjugate gradients over its
-interior cells, preconditioned by the same box solve: the residual is
-zero-extended to the inner box, solved there and restricted to the
-interior cells again, an operator that is symmetric positive definite
-(Concus & Golub, SIAM J. Numer. Anal. 10, 1973).
-
-Both paths allocate private working memory per call, so concurrent use
-is unrestricted.
+buffer, so the solve works in place on the field.  It allocates private
+working memory per call, so concurrent use is unrestricted.
 """
 
 from __future__ import annotations
@@ -40,9 +31,7 @@ __all__ = [
     "INTERIOR",
     "ONE",
     "ZERO",
-    "EXTERIOR",
     "disk_arc_measure",
-    "disk_problem",
     "grid_laplace_measure",
     "pseudo_strip_upper_measure",
     "rectangle_problem",
@@ -54,7 +43,7 @@ __all__ = [
 
 _TWO_PI = 2.0 * math.pi
 
-INTERIOR, ONE, ZERO, EXTERIOR = 0, 1, 2, 3
+INTERIOR, ONE, ZERO = 0, 1, 2
 
 
 def strip_upper_measure(dist_up: float, dist_down: float) -> float:
@@ -129,13 +118,13 @@ def disk_arc_measure(z: complex, arc: BoundaryArc) -> float:
 
 @dataclass(frozen=True)
 class GridProblem:
-    """Discrete Dirichlet problem on a cell grid.
+    """Discrete Dirichlet problem on a box of cells.
 
     ``labels[i, j]`` classifies the cell with center ``origin + j*spacing +
     i*spacing*1j`` (row index grows upward) as interior unknown, boundary
-    value one, boundary value zero, or exterior.  Every interior cell must
-    have its four neighbors on the grid and not exterior; the evaluation
-    point must fall in an interior cell.
+    value one or boundary value zero.  Every inner cell must be interior
+    and every cell of the outer ring one or zero; the evaluation point must
+    fall in an interior cell.
     """
 
     labels: np.ndarray
@@ -151,19 +140,19 @@ class GridProblem:
             raise GridError("labels must be a 2-d array")
         if not self.spacing > 0.0:
             raise GridError(f"spacing must be positive, got {self.spacing}")
-        interior = labels == INTERIOR
-        if not interior.any():
-            raise GridError("grid has no interior cells")
-        padded = np.pad(labels, 1, constant_values=EXTERIOR)
-        for di, dj in ((0, 1), (0, -1), (1, 0), (-1, 0)):
-            nb = padded[1 + di : padded.shape[0] - 1 + di, 1 + dj : padded.shape[1] - 1 + dj]
-            bad = interior & (nb == EXTERIOR)
-            if bad.any():
-                i, j = np.argwhere(bad)[0]
-                raise GridError(f"interior cell ({i}, {j}) touches an unlabeled boundary")
+        rows, cols = labels.shape
+        if rows < 3 or cols < 3:
+            raise GridError(f"a {rows}x{cols} grid has no interior cells")
+        masked = labels[1:-1, 1:-1] != INTERIOR
+        if masked.any():
+            i, j = np.argwhere(masked)[0] + 1
+            raise GridError(f"inner cell ({i}, {j}) is not interior: only box grids are solved")
+        ring = np.concatenate((labels[0], labels[-1], labels[1:-1, 0], labels[1:-1, -1]))
+        if not ((ring == ONE) | (ring == ZERO)).all():
+            raise GridError("every cell of the outer ring must be labeled one or zero")
         ci = int(round((self.eval_point.imag - self.origin.imag) / self.spacing))
         cj = int(round((self.eval_point.real - self.origin.real) / self.spacing))
-        if not (0 <= ci < labels.shape[0] and 0 <= cj < labels.shape[1]):
+        if not (0 <= ci < rows and 0 <= cj < cols):
             raise GridError(f"evaluation point {self.eval_point} is off the grid")
         if labels[ci, cj] != INTERIOR:
             raise GridError(f"evaluation point {self.eval_point} is not strictly interior")
@@ -181,9 +170,6 @@ class GridProblem:
             raise GridError(f"point {p} lies outside the rectangle of cell centers")
         i0, j0 = min(int(fi), rows - 2), min(int(fj), cols - 2)
         ti, tj = fi - i0, fj - j0
-        corners = self.labels[i0 : i0 + 2, j0 : j0 + 2]
-        if (corners == EXTERIOR).any():
-            raise GridError(f"point {p} interpolates across exterior cells")
         v = field_values[i0 : i0 + 2, j0 : j0 + 2]
         return float(
             (1 - ti) * (1 - tj) * v[0, 0]
@@ -191,25 +177,6 @@ class GridProblem:
             + ti * (1 - tj) * v[1, 0]
             + ti * tj * v[1, 1]
         )
-
-
-# disk120 converges in 26 iterations, a 161x761 comb raster at tol 1e-8 in
-# 76; the cap stops only a solve that cannot meet its tolerance
-_CG_MAX_ITERATIONS = 1000
-
-
-def _mean_minus_center(center, below, above, left, right, out):
-    """``mean(neighbors) - center`` into ``out``, summed below, above, left, right."""
-    np.add(below, above, out=out)
-    out += left
-    out += right
-    out *= 0.25
-    out -= center
-    return out
-
-
-def _shifted(s: slice, by: int) -> slice:
-    return slice(s.start + by, s.stop + by)
 
 
 # scratch per batch of lines in the box solve; on the 100x1000 strip the
@@ -271,101 +238,52 @@ def _max_residual(u: np.ndarray) -> float:
     scratch = np.empty((min(step, rows - 2), cols - 2))
     worst = 0.0
     for r in range(1, rows - 1, step):
-        s = slice(r, min(r + step, rows - 1))
-        out = scratch[: s.stop - s.start]
-        _mean_minus_center(
-            u[s, 1:-1], u[_shifted(s, -1), 1:-1], u[_shifted(s, 1), 1:-1], u[s, :-2], u[s, 2:], out
-        )
+        stop = min(r + step, rows - 1)
+        out = scratch[: stop - r]
+        np.add(u[r - 1 : stop - 1, 1:-1], u[r + 1 : stop + 1, 1:-1], out=out)
+        out += u[r:stop, :-2]
+        out += u[r:stop, 2:]
+        out *= 0.25
+        out -= u[r:stop, 1:-1]
         worst = max(worst, float(np.max(np.abs(out, out=out))))
     return worst
 
 
-def solve_grid(problem: GridProblem, tol: float = 1e-10) -> np.ndarray:
+# the direct solve leaves a residual of about 1e-15; the check after it
+# raises only on a solve gone wrong
+_RESIDUAL_TOL = 1e-10
+
+
+def solve_grid(problem: GridProblem) -> np.ndarray:
     """Solve the discrete Laplace problem; returns the full value field.
 
-    ``tol``, a positive finite number, bounds the maximum residual
-    ``|mean(neighbors) - u|`` over interior cells of the returned field;
-    where the solver cannot meet it, :class:`ConvergenceError` is raised.
+    The boundary neighbors of the inner cells move onto the right-hand side
+    in place, which ``_solve_box``, the direct sine-transform solve, then
+    solves.  The field's maximum residual ``|mean(neighbors) - u|`` over the
+    inner cells, checked once after the solve, must be below
+    ``_RESIDUAL_TOL``, else :class:`ConvergenceError` is raised.
 
-    A box problem (every inner cell interior, see the module docstring)
-    moves the boundary neighbors of the inner cells onto the right-hand
-    side in place and solves there with ``_solve_box``, the direct
-    sine-transform solve; its residual, checked once after the solve, is
-    about 1e-15, so only a ``tol`` below that raises.
-
-    A masked problem solves ``(I - N/4) x = b/4`` over the interior cells
-    (``N`` sums a cell's interior neighbors, ``b`` its known neighbors'
-    values) by conjugate gradients preconditioned with ``_solve_box`` on
-    the inner box.  The residual ``mean(neighbors) - u`` lives on the inner
-    box, 0 off the interior cells, and the search direction on a full field
-    with a zero ring, so both come from stencils of views.  Once the updated
-    residual is below ``tol / 2`` the field's own residual is checked
-    against ``tol``; ``_CG_MAX_ITERATIONS`` bounds the iterations.
-
-    Deterministic for a given grid and tolerance.
+    Deterministic for a given grid.
     """
-    if not 0.0 < tol < math.inf:
-        raise GridError(f"tolerance must be positive and finite, got {tol}")
     labels = problem.labels
-    if (labels[1:-1, 1:-1] == INTERIOR).all():
-        u = (labels == ONE).astype(np.float64)
-        inner = u[1:-1, 1:-1]  # the unknowns, which start as the right-hand side
-        inner[0] += u[0, 1:-1]
-        inner[-1] += u[-1, 1:-1]
-        inner[:, 0] += u[1:-1, 0]
-        inner[:, -1] += u[1:-1, -1]
-        _solve_box(inner)
-        residual = _max_residual(u)
-        if not residual < tol:
-            raise ConvergenceError(
-                f"the direct box solve reached residual {residual}, not below {tol}"
-            )
-        return u
-    # GridProblem keeps every interior cell off the outer ring, so the inner
-    # view holds every unknown and its four neighbors stay on the grid
-    interior = labels[1:-1, 1:-1] == INTERIOR
-
-    def residual(f, out):
-        """``mean(neighbors) - f`` on the interior cells, 0 elsewhere."""
-        _mean_minus_center(
-            f[1:-1, 1:-1], f[:-2, 1:-1], f[2:, 1:-1], f[1:-1, :-2], f[1:-1, 2:], out
-        )
-        return np.multiply(out, interior, out=out)
-
     u = (labels == ONE).astype(np.float64)
-    p = np.zeros(labels.shape)
-    u_in, p_in = u[1:-1, 1:-1], p[1:-1, 1:-1]
-    r, z, q = (np.empty(interior.shape) for _ in range(3))
-    residual(u, r)
-    rz = math.inf  # so that the first direction is z itself
-    for it in range(_CG_MAX_ITERATIONS + 1):
-        if max(r.max(), -r.min()) < tol / 2:
-            if np.max(np.abs(residual(u, q), out=q)) < tol:
-                return u
-        if it == _CG_MAX_ITERATIONS:
-            break
-        np.copyto(z, r)
-        _solve_box(z)
-        z *= interior
-        # einsum, not a BLAS dot: on 2 cores a threaded vdot took about 7 ms
-        # a call on disk120, several times the box solve
-        rz_old, rz = rz, np.einsum("ij,ij->", r, z)
-        p_in *= rz / rz_old
-        p_in += z
-        residual(p, q)  # -A p, as p is 0 off the interior cells
-        alpha = -rz / np.einsum("ij,ij->", p_in, q)
-        u_in += np.multiply(p_in, alpha, out=z)
-        q *= alpha
-        r += q
-    raise ConvergenceError(
-        f"conjugate gradients (CG) did not reach residual {tol} "
-        f"within {_CG_MAX_ITERATIONS} iterations"
-    )
+    inner = u[1:-1, 1:-1]  # the unknowns, which start as the right-hand side
+    inner[0] += u[0, 1:-1]
+    inner[-1] += u[-1, 1:-1]
+    inner[:, 0] += u[1:-1, 0]
+    inner[:, -1] += u[1:-1, -1]
+    _solve_box(inner)
+    residual = _max_residual(u)
+    if not residual < _RESIDUAL_TOL:
+        raise ConvergenceError(
+            f"the direct box solve reached residual {residual}, not below {_RESIDUAL_TOL}"
+        )
+    return u
 
 
-def grid_laplace_measure(problem: GridProblem, tol: float = 1e-10) -> float:
+def grid_laplace_measure(problem: GridProblem) -> float:
     """Discrete harmonic interpolant at the evaluation point (in [0, 1])."""
-    u = solve_grid(problem, tol=tol)
+    u = solve_grid(problem)
     return problem.value_at(u, problem.eval_point)
 
 
@@ -391,10 +309,14 @@ def strip_problem(
     """
     if not (dist_up > 0.0 and dist_down > 0.0):
         raise DomainError("strip distances must be positive")
+    if rows < 3:
+        raise GridError(f"strip grid needs rows >= 3, got {rows}")
     height = dist_up + dist_down
     h = height / (rows - 1)
     if cols is None:
         cols = int(math.ceil(aspect * height / h)) + 1
+    if cols < 3:
+        raise GridError(f"strip grid needs cols >= 3, got {cols}")
     labels = np.full((rows, cols), INTERIOR, dtype=np.int8)
     labels[:, 0] = ZERO
     labels[:, -1] = ZERO
@@ -439,6 +361,10 @@ def rectangle_problem(
     origin: complex = 0j,
 ) -> GridProblem:
     """Rectangle with one side labeled one; corners go to the top/bottom rows."""
+    if not (width > 0.0 and height > 0.0):
+        raise GridError(f"rectangle needs positive width and height, got {width}, {height}")
+    if rows < 3:
+        raise GridError(f"rectangle grid needs rows >= 3, got {rows}")
     h = height / (rows - 1)
     cols = int(round(width / h)) + 1
     labels = np.full((rows, cols), INTERIOR, dtype=np.int8)
@@ -448,21 +374,3 @@ def rectangle_problem(
         labels[sl] = ONE if one_side == name else ZERO
     return GridProblem(labels, h, eval_point, origin)
 
-
-def disk_problem(n: int, eval_point: complex, pad: float = 1.1) -> GridProblem:
-    """Unit disk with the upper semicircle labeled one, lower labeled zero.
-
-    Cells with centers outside the open disk carry the Dirichlet data; ``n``
-    should be even so no cell center sits exactly on the real axis.
-    """
-    if n % 2 != 0:
-        raise GridError("disk grid needs an even cell count for a symmetric axis split")
-    h = 2.0 * pad / n
-    coords = -pad + h * (np.arange(n) + 0.5)
-    X, Y = np.meshgrid(coords, coords)
-    labels = np.full((n, n), INTERIOR, dtype=np.int8)
-    outside = X * X + Y * Y >= 1.0
-    labels[outside & (Y > 0)] = ONE
-    labels[outside & (Y < 0)] = ZERO
-    origin = complex(coords[0], coords[0])
-    return GridProblem(labels, h, eval_point, origin)

@@ -270,9 +270,11 @@ class FeatureArrays:
             with np.errstate(over="ignore"):  # inf is outside the disk
                 far = np.multiply(x, x)
                 far += np.multiply(y, y)
-            far = np.greater(far, local.disk_sq)
-            far |= np.greater_equal(second, local.limit_sq)
-            far = np.flatnonzero(far)
+            # a point stays on the candidate path only where both tests hold,
+            # so a NaN coordinate, which fails every comparison, is far
+            far = np.less_equal(far, local.disk_sq)
+            far &= np.less(second, local.limit_sq)
+            far = np.flatnonzero(~far)
             if far.size:
                 x, y = x.take(far), y.take(far)
                 all_second = np.empty_like(x)

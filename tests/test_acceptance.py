@@ -16,12 +16,7 @@ import pytest
 import combslope as cs
 from combslope.analyzer import calibrate_widths, verify_construction
 from combslope.comb import DROP_TOOTH, SEAL_GAP, anchor_target, midpoints, surgery
-from combslope.exact import (
-    disk_problem,
-    grid_laplace_measure,
-    rectangle_problem,
-    strip_problem,
-)
+from combslope.exact import grid_laplace_measure, rectangle_problem, strip_problem
 from combslope.geometry import BoundaryArc, level_set_arc, mobius_to_zero, slope_of, tangent_ray
 from combslope.wos import WosParams, estimate_upper_measure
 

@@ -30,7 +30,8 @@ from combslope.comb import (
     witness_rect,
 )
 from combslope.errors import BuildError, DomainError, PlanError
-from combslope.exact import GridProblem, INTERIOR, ONE, ZERO, grid_laplace_measure
+from combslope.exact import pseudo_strip_upper_measure
+from combslope.wos import WosParams, estimate_upper_measure
 
 
 @pytest.fixture(scope="module")
@@ -523,32 +524,13 @@ class TestSerialization:
             domain_from_dict({"schema": "nope", "teeth": []})
 
 
-def _comb_grid_problem(domain, eval_x, h, x_lo, x_hi, y_lo, y_hi):
-    """Rasterize a comb onto a grid problem (teeth one cell thick)."""
-    nx = int(round((x_hi - x_lo) / h)) + 1
-    ny = int(round((y_hi - y_lo) / h)) + 1
-    xs = x_lo + h * np.arange(nx)
-    ys = y_lo + h * np.arange(ny)
-    X, Y = np.meshgrid(xs, ys)
-    labels = np.full((ny, nx), INTERIOR, dtype=np.int8)
-    for tooth in domain.teeth:
-        a = tooth.ray.anchor
-        on = (np.abs(Y - a.imag) <= h / 2 + 1e-12) & (X <= a.real + 1e-12)
-        labels[on] = ONE if a.imag > 0 else ZERO
-    labels[0, :] = ZERO
-    labels[-1, :] = ONE
-    labels[:, 0] = np.where(ys > 0, ONE, ZERO)
-    labels[:, -1] = np.where(ys > 0, ONE, ZERO)
-    return GridProblem(labels, h, complex(eval_x, 0.0), complex(x_lo, y_lo))
-
-
-class TestBackwardParityAgainstGrid:
+class TestBackwardParityAgainstPairOracle:
     """The covering pair behind a backward midpoint governs its measure.
 
-    This pins the direction-dependent anchor parity: the grid oracle must
-    reproduce the local strip ratio of the *previous* tooth pair, which for
-    the full-interval plan separates cleanly (1/3 here) from the ratio of
-    the pair ahead (3/4).
+    This pins the direction-dependent anchor parity: the comb's measure
+    must reproduce the local strip ratio of the *previous* tooth pair, which
+    for the full-interval plan separates cleanly (1/3 here) from the ratio
+    of the pair ahead (3/4).
     """
 
     def test_full_interval_midpoint(self):
@@ -560,9 +542,15 @@ class TestBackwardParityAgainstGrid:
         assert x5 == -25.0
         predicted = anchor_target(plan, 5)
         assert predicted == pytest.approx(1 / 3, rel=1e-12)
-        # h chosen so the nearby tooth heights (0.5, 0.25) sit exactly on
-        # grid rows; the truncated far teeth only matter at exp(-20) level
-        problem = _comb_grid_problem(domain, x5, 0.05, -36.0, 2.0, -4.0, 4.0)
-        measured = grid_laplace_measure(problem, tol=1e-8)
-        assert measured == pytest.approx(predicted, abs=0.02)
-        assert abs(measured - 0.75) > 0.3  # the unshifted pairing is far off
+        # the pair behind x5 (teeth run leftward from their tips): heights
+        # 0.5 and -0.25, tips at -12 and -20; x5 lies 5 = 6.7 channel heights
+        # inside the shorter one, where the two-tooth oracle with both tips
+        # at -20 is the channel's strip value
+        upper, lower = (t.ray.anchor for t in domain.teeth[2:4])
+        assert (upper, lower) == (-12 + 0.5j, -20 - 0.25j)
+        pair = pseudo_strip_upper_measure(upper.imag, -lower.imag, 2.0, x5 - lower.real + 1.0)
+        assert pair == pytest.approx(predicted, abs=1e-12)
+        est = estimate_upper_measure(domain, complex(x5, 0.0), WosParams(walkers=20_000, seed=42))
+        assert est.valid and abs(est.mean - pair) < 3 * est.stderr
+        for measured in (pair, est.mean):
+            assert abs(measured - 0.75) > 0.3  # the unshifted pairing is far off

@@ -11,13 +11,11 @@ from hypothesis import strategies as st
 from combslope import exact
 from combslope.errors import ConvergenceError, DomainError, GridError
 from combslope.exact import (
-    EXTERIOR,
     INTERIOR,
     ONE,
     ZERO,
     GridProblem,
     disk_arc_measure,
-    disk_problem,
     grid_laplace_measure,
     pseudo_strip_upper_measure,
     rectangle_problem,
@@ -147,21 +145,6 @@ class TestDiskArcMeasure:
                     )
 
 
-def _l_shaped_problem() -> GridProblem:
-    # 21x21 box at spacing 0.05 with its upper-right quarter [11:, 11:]
-    # exterior, walled off by zero cells on row and column 10; the top row of
-    # the left arm is labeled one
-    labels = np.full((21, 21), INTERIOR, dtype=np.int8)
-    labels[11:, 11:] = EXTERIOR
-    labels[0, :] = ZERO
-    labels[:, 0] = ZERO
-    labels[:11, -1] = ZERO
-    labels[10, 10:] = ZERO
-    labels[10:, 10] = ZERO
-    labels[-1, :10] = ONE
-    return GridProblem(labels, 0.05, 0.25 + 0.25j)
-
-
 def _one_cell_problem() -> GridProblem:
     # a single interior cell: three of the four parity sublattices of the
     # inner view are empty
@@ -188,7 +171,7 @@ def _one_row_problem() -> GridProblem:
 
 def _assert_field_pinned(problem: GridProblem, digest: str, value: str, parent: str) -> None:
     """The solved field has sha256 ``digest``, solves the discrete problem
-    to the default ``tol``, and its measure reads ``value``, within 1e-8 of
+    to residual 1e-10, and its measure reads ``value``, within 1e-8 of
     ``parent``, the value pinned from the solver the current one replaced."""
     u = solve_grid(problem)
     assert hashlib.sha256(u.tobytes()).hexdigest() == digest
@@ -214,30 +197,11 @@ class TestGridOracle:
             "0.24999999939185666",
         )
 
-    # masked fields are pinned bit for bit from conjugate gradients
-    # preconditioned by the box solve; the last string is the measure pinned
-    # from the red-black SOR with Young's relaxation factor it replaced
-    def test_l_shaped_field_with_exterior_is_pinned(self):
-        _assert_field_pinned(
-            _l_shaped_problem(),
-            "22a761b979ac57d946a998158c5b15d619d5c5e446cb22ea7e552b338b28fcd1",
-            "0.013482247548789204",
-            "0.013482247548832585",
-        )
-
-    # disk120 is masked (CG, the last string from SOR); the rest are boxes
-    # (the direct solve, the last string from SOR as well): a mixed-parity
-    # inner view, a one-cell and a one-row inner view, and even rows by odd
-    # columns
+    # a mixed-parity inner view, a one-cell and a one-row inner view, and
+    # even rows by odd columns
     @pytest.mark.parametrize(
         "make, digest, value, parent",
         [
-            (
-                lambda: disk_problem(120, 0j),
-                "956e39067c982fa56f9c581188ec816ea4c52b71892d69007e7235586baeaf53",
-                "0.5000000000004188",
-                "0.49999999994576194",
-            ),
             (
                 lambda: rectangle_problem(3.0, 1.7, 31, 0.5 + 0.5j),
                 "a52609f21cfb78555e04919801c069e21a4a7d6828f99c410d471c157e04483b",
@@ -263,7 +227,7 @@ class TestGridOracle:
                 "0.7499999386653193",
             ),
         ],
-        ids=["disk120", "rectangle31x54", "one_cell", "one_row", "strip20x201"],
+        ids=["rectangle31x54", "one_cell", "one_row", "strip20x201"],
     )
     def test_field_is_pinned(self, make, digest, value, parent):
         _assert_field_pinned(make(), digest, value, parent)
@@ -282,82 +246,55 @@ class TestGridOracle:
             tracemalloc.stop()
         assert peak < 1.5 * field_bytes
 
-    def test_masked_solve_holds_seven_fields(self):
-        # conjugate gradients keep the field and the search direction as full
-        # fields, the residual, its preconditioned copy and A p on the inner
-        # box, and the box solve's batches: about 6.2 fields on disk120
-        p = disk_problem(120, 0j)
-        field_bytes = p.labels.size * np.dtype(np.float64).itemsize
-        tracemalloc.start()
-        try:
-            solve_grid(p)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 7 * field_bytes
-
-    def test_box_residual_below_attainable_raises(self):
+    def test_box_residual_below_attainable_raises(self, monkeypatch):
         # the direct solve's residual is about 1e-15; the check after it
-        # refuses a tolerance the field does not meet
+        # refuses a field that does not meet the bound
+        monkeypatch.setattr(exact, "_RESIDUAL_TOL", 1e-300)
         with pytest.raises(ConvergenceError, match="residual"):
-            solve_grid(square_problem(11, 0.5 + 0.5j), tol=1e-300)
-
-    def test_iteration_budget_raises_on_a_masked_grid(self, monkeypatch):
-        # CG needs 11 iterations on the L-shape
-        monkeypatch.setattr(exact, "_CG_MAX_ITERATIONS", 5)
-        with pytest.raises(ConvergenceError, match="CG"):
-            solve_grid(_l_shaped_problem())
-
-    def test_iteration_budget_on_the_disk(self, monkeypatch):
-        # CG meets tol on disk120 after 26 iterations
-        monkeypatch.setattr(exact, "_CG_MAX_ITERATIONS", 28)
-        solve_grid(disk_problem(120, 0j))
-        monkeypatch.setattr(exact, "_CG_MAX_ITERATIONS", 25)
-        with pytest.raises(ConvergenceError, match="CG"):
-            solve_grid(disk_problem(120, 0j))
+            solve_grid(square_problem(11, 0.5 + 0.5j))
 
     @pytest.mark.parametrize("rows", range(3, 12))
     def test_box_solve_matches_a_dense_solve(self, rows):
         # the 5-point system over the interior cells, assembled cell by cell
-        # and solved densely: on boxes of every row and column parity with
-        # random boundary labels, and on the same boxes with about a fifth of
-        # the inner cells (never the evaluation cell) labeled one or zero,
-        # which CG solves
-        rng, mask_rng = np.random.default_rng(rows), np.random.default_rng(100 + rows)
+        # and solved densely, on boxes of every row and column parity with
+        # random boundary labels
+        rng = np.random.default_rng(rows)
         known = np.array([ONE, ZERO], dtype=np.int8)
         for cols in range(3, 12):
-            box = rng.choice(known, size=(rows, cols))
-            box[1:-1, 1:-1] = INTERIOR
-            masked = box.copy()
-            hit = mask_rng.random((rows - 2, cols - 2)) < 0.2
-            hit[0, 0] = False
-            masked[1:-1, 1:-1][hit] = mask_rng.choice(known, size=int(hit.sum()))
-            for labels, tol in ((box, 1e-10), (masked, 1e-13)):
-                u = solve_grid(GridProblem(labels, 1.0, 1 + 1j), tol=tol)
-                cells = [tuple(c) for c in np.argwhere(labels == INTERIOR)]
-                column = {c: k for k, c in enumerate(cells)}
-                a, b = 4.0 * np.eye(len(cells)), np.zeros(len(cells))
-                for k, (i, j) in enumerate(cells):
-                    for nb in ((i - 1, j), (i + 1, j), (i, j - 1), (i, j + 1)):
-                        if nb in column:
-                            a[k, column[nb]] = -1.0
-                        else:
-                            b[k] += labels[nb] == ONE
-                interior = labels == INTERIOR
-                assert np.max(np.abs(u[interior] - np.linalg.solve(a, b))) < 1e-12
-                assert np.array_equal(u[~interior], (labels == ONE)[~interior])
+            labels = rng.choice(known, size=(rows, cols))
+            labels[1:-1, 1:-1] = INTERIOR
+            u = solve_grid(GridProblem(labels, 1.0, 1 + 1j))
+            cells = [tuple(c) for c in np.argwhere(labels == INTERIOR)]
+            column = {c: k for k, c in enumerate(cells)}
+            a, b = 4.0 * np.eye(len(cells)), np.zeros(len(cells))
+            for k, (i, j) in enumerate(cells):
+                for nb in ((i - 1, j), (i + 1, j), (i, j - 1), (i, j + 1)):
+                    if nb in column:
+                        a[k, column[nb]] = -1.0
+                    else:
+                        b[k] += labels[nb] == ONE
+            interior = labels == INTERIOR
+            assert np.max(np.abs(u[interior] - np.linalg.solve(a, b))) < 1e-12
+            assert np.array_equal(u[~interior], (labels == ONE)[~interior])
 
-    @pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan, math.inf])
-    def test_tolerance_must_be_positive_and_finite(self, monkeypatch, tol):
-        # a bad tolerance is rejected up front, on a box and on a masked grid;
-        # with no iteration budget a solver that only meets it in the loop
-        # fails fast with the wrong error
-        monkeypatch.setattr(exact, "_CG_MAX_ITERATIONS", 0)
-        for p in (square_problem(11, 0.5 + 0.5j), _l_shaped_problem()):
-            with pytest.raises(GridError):
-                solve_grid(p, tol=tol)
-            with pytest.raises(GridError):
-                grid_laplace_measure(p, tol=tol)
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: strip_problem(1.0, 3.0, rows=1),
+            lambda: strip_problem(1.0, 3.0, rows=0),
+            lambda: strip_problem(1.0, 3.0, cols=0),
+            lambda: rectangle_problem(3.0, 1.7, 1, 0.5 + 0.5j),
+            lambda: rectangle_problem(-3.0, 1.7, 31, 0.5 + 0.5j),
+            lambda: rectangle_problem(3.0, 0.0, 31, 0.5 + 0.5j),
+        ],
+        ids=["strip_rows1", "strip_rows0", "strip_cols0", "rect_rows1", "rect_width_negative",
+             "rect_height_zero"],
+    )
+    def test_degenerate_builders_fail_by_name(self, build):
+        # fewer than 3 rows or columns, or an empty rectangle, leave no
+        # interior cell; the builders say so before dividing by the rows
+        with pytest.raises(GridError):
+            build()
 
     def test_two_by_two_interior_exact_value(self):
         labels = np.array(
@@ -375,17 +312,16 @@ class TestGridOracle:
         # 4a = c + a and 3c = 1 + a, so the bottom-center value is exactly 1/8
         assert grid_laplace_measure(p) == pytest.approx(0.125, abs=1e-8)
 
-    def test_exterior_must_not_touch_interior(self):
-        labels = np.array(
-            [
-                [ZERO, ZERO, ZERO],
-                [ZERO, INTERIOR, EXTERIOR],
-                [ONE, ONE, ONE],
-            ],
-            dtype=np.int8,
-        )
-        with pytest.raises(GridError):
-            GridProblem(labels, 1.0, 1.0 + 1.0j)
+    def test_masked_labels_rejected(self):
+        # only box grids are solved: a boundary label among the inner cells,
+        # or a ring cell that is neither one nor zero, fails at construction
+        box = square_problem(5, 0.5 + 0.5j).labels
+        for cell, label in (((2, 3), ONE), ((1, 1), ZERO), ((0, 2), INTERIOR), ((4, 0), 3)):
+            labels = box.copy()
+            labels[cell] = label
+            with pytest.raises(GridError):
+                GridProblem(labels, 0.25, 0.5 + 0.5j)
+        GridProblem(box, 0.25, 0.5 + 0.5j)
 
     def test_square_center_quarter(self):
         p = square_problem(61, 0.5 + 0.5j)
@@ -394,11 +330,6 @@ class TestGridOracle:
     def test_strip_matches_exact_value(self):
         p = strip_problem(1.0, 3.0, rows=50, aspect=40.0)
         assert grid_laplace_measure(p) == pytest.approx(0.75, abs=2e-3)
-
-    def test_disk_matches_arc_measure(self):
-        p = disk_problem(120, 0j)
-        exact = disk_arc_measure(0, BoundaryArc(-1, 1))
-        assert grid_laplace_measure(p) == pytest.approx(exact, abs=2e-3)
 
     def test_discretization_error_is_second_order(self):
         # independent series oracle for the unit square with the top side at 1;

@@ -20,9 +20,8 @@ def test_every_export_resolves():
 
 
 def test_import_leaves_numpy_fft_unloaded():
-    # only the grid oracle's box solve uses numpy.fft, also as the
-    # preconditioner of conjugate gradients on masked grids, and it reaches
-    # it by attribute, so runs that solve no grid do not pay for loading it
+    # only the grid oracle's box solve uses numpy.fft, and it reaches it by
+    # attribute, so runs that solve no grid do not pay for loading it
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     code = "import combslope, sys; assert 'numpy.fft' not in sys.modules"
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
@@ -76,3 +75,19 @@ def test_traced_verify_forward_resolves_every_span(monkeypatch, tmp_path):
     values = spans.layer_values(tracer.spans, False)
     counts = {kind: values[f"analyzer.verify.{kind}.n"] for kind in workloads.VERIFY_ESTIMATES}
     assert counts == workloads.VERIFY_ESTIMATES == {"anchors": 7, "between": 18, "surgery": 18}
+
+
+def test_traced_oracle_grid_resolves_every_span(monkeypatch, tmp_path):
+    # the benchmark's oracle-grid operation, run as the benchmark runs it: it
+    # calls exact's builders, solver and labels by name
+    spans, workloads, ns = _benchmark(monkeypatch)
+    grid = workloads.OracleGrid()
+    state = grid.setup(ns, tmp_path)
+    with spans.Tracer() as tracer:
+        spans.install(tracer, ns)
+        outcome = grid.op(ns, state, 42, tracer)
+    assert [c for c in outcome.checks if not c[1]] == []
+    assert outcome.attempted > 0
+    assert spans.absent_spans(tracer, grid.expected_spans, 0.0) == {}
+    values = spans.layer_values(tracer.spans, False)
+    assert values["exact.unknowns"] == workloads.GRID_UNKNOWNS

@@ -258,6 +258,17 @@ class TestCandidateSets:
         assert second.tolist() == [20.0, 19.0, 19.0]
         assert index.tolist() == [1, 1, 1]
 
+    def test_nan_points_take_the_full_kernel(self):
+        # a NaN coordinate fails both of the candidate path's tests, so the
+        # point runs over all features and reads the full kernel's index
+        feats = [(HalfLine(complex(50, h)), "upper" if h > 0 else "lower")
+                 for h in (36.0, -1.0, -4.0, -6.0, -18.0)]
+        x, y = np.array([math.nan, 0.0, math.inf]), np.array([0.0, math.nan, math.nan])
+        local, (near, second, index) = _same_as_full(feats, x, y)
+        assert local._local is not None
+        assert np.isnan(near).all() and np.isnan(second).all()
+        assert index.tolist() == [0, 0, 0]
+
     def test_far_features_read_inf(self):
         # in an unscaled frame every feature more than about 1.3e154 away
         # reads inf on the candidate path too
