@@ -1,4 +1,4 @@
-"""Comb domains: sequence plans, tooth placement, witnesses, and surgery.
+"""Comb domains: sequence plans, tooth placement, anchor targets, and surgery.
 
 A comb is the plane minus a finite family of leftward horizontal half-lines
 (teeth) whose heights follow a two-term ratio recurrence and whose anchor
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BuildError, DomainError, PlanError
-from .geometry import FeatureArrays, HalfLine, RectWitness
+from .geometry import FeatureArrays, HalfLine
 
 __all__ = [
     "CombDomain",
@@ -46,7 +46,6 @@ __all__ = [
     "pseudo_strip",
     "surgery",
     "usable_anchor_indices",
-    "witness_rect",
 ]
 
 PLAN_SCHEMA = "combslope/plan-v1"
@@ -73,7 +72,11 @@ class SequencePlan:
     uses for block ``2 * n_pairs``, whose anchor has no ceiling tooth.  On a
     backward comb ``upper_heights[n_pairs]`` is placed as tooth
     ``2 * n_pairs + 1``; it closes block ``2 * n_pairs + 1`` on the left,
-    whose anchor is witnessed by the last full pair behind it.  The
+    whose anchor is witnessed by the last full pair behind it.  Lower teeth
+    lie below the axis in both directions.  The ratio recurrences and the
+    monotonicity checked at construction put each usable anchor's witness
+    box (see :func:`anchor_target`) inside the comb, with both horizontal
+    borders on teeth.  The
     targets are the intended limit superior / inferior of the
     upper-boundary harmonic measure along the axis.  ``block_widths`` stays
     ``None`` until a schedule is assigned; it holds at most ``max_blocks``
@@ -88,8 +91,6 @@ class SequencePlan:
     n_pairs: int
     special: str | None = None
     special_m: int | None = None
-    verbatim_special: bool = False
-    verbatim_tooth_sign: bool = False
     block_widths: tuple[float, ...] | None = None
     widths_mode: str | None = None
 
@@ -151,19 +152,15 @@ class SequencePlan:
                 b = lo if self.direction == FORWARD else hi
                 bad = abs(rnext * b - (1.0 - b) * rhon) > _RESIDUAL_TOL * rnext
             elif self.special == "liminf_zero":
-                want = (1.0 - hi) / hi if self.verbatim_special else (1.0 - hi) / hi * rhon
-                bad = abs(rnext - want) > _RESIDUAL_TOL * max(rnext, 1.0)
+                bad = abs(rnext - (1.0 - hi) / hi * rhon) > _RESIDUAL_TOL * max(rnext, 1.0)
             elif self.special == "limsup_one":
-                want = 1.0 / (n + 1 + m) if self.verbatim_special else rhon / (n + 1 + m)
-                bad = abs(rnext - want) > _RESIDUAL_TOL * max(rnext, 1.0)
+                bad = abs(rnext - rhon / (n + 1 + m)) > _RESIDUAL_TOL * max(rnext, 1.0)
             else:  # full_interval
                 bad = abs(rnext - rhon / (n + 1)) > _RESIDUAL_TOL * rnext
             if bad:
                 raise PlanError(f"cross-index recurrence violated at n = {n}")
 
     def _check_monotonicity(self) -> None:
-        if self.verbatim_special:
-            return  # the literal degenerate recurrences are not monotone
         if self.target_limsup == self.target_liminf and self.special is None:
             return  # constant (pseudo-strip) plans
         increasing = self.direction == FORWARD
@@ -204,10 +201,7 @@ class SequencePlan:
         """Signed height of tooth ``j`` (1-based along the axis)."""
         if j % 2 == 1:
             return self.upper_heights[(j - 1) // 2]
-        depth = self.lower_depths[j // 2 - 1]
-        if self.direction == BACKWARD and self.verbatim_tooth_sign:
-            return depth
-        return -depth
+        return -self.lower_depths[j // 2 - 1]
 
 
 def _sequences(
@@ -256,11 +250,7 @@ def plan_forward(
 
 
 def plan_backward(
-    theta_lo: float,
-    theta_hi: float,
-    first_height: float,
-    n_pairs: int,
-    verbatim_tooth_sign: bool = False,
+    theta_lo: float, theta_hi: float, first_height: float, n_pairs: int
 ) -> SequencePlan:
     """Plan a backward comb; ``theta_lo == theta_hi`` gives a singleton slope set."""
     half_pi = math.pi / 2.0
@@ -279,9 +269,7 @@ def plan_backward(
         lambda n, rn: lo / (1.0 - lo) * rn,
         lambda n, rhon: (1.0 - hi) / hi * rhon,
     )
-    return SequencePlan(
-        BACKWARD, hi, lo, r, rho, n_pairs, verbatim_tooth_sign=verbatim_tooth_sign
-    )
+    return SequencePlan(BACKWARD, hi, lo, r, rho, n_pairs)
 
 
 def plan_backward_special(
@@ -291,8 +279,6 @@ def plan_backward_special(
     target_limsup: float | None = None,
     target_liminf: float | None = None,
     m: int = 0,
-    verbatim: bool = False,
-    verbatim_tooth_sign: bool = False,
 ) -> SequencePlan:
     """Backward plans whose measure limits touch 0, 1, or both.
 
@@ -300,9 +286,9 @@ def plan_backward_special(
     target and an offset ``m`` with ``1 + m > (1 - limsup)/limsup``);
     ``limsup_one`` drives the upper limit to 1 (needs the liminf target and
     ``2 + m > liminf/(1 - liminf)``); ``full_interval`` drives them to 0 and
-    1 simultaneously.  ``verbatim`` switches the degenerate recurrences to
-    their literal constant-height reading, which is not monotone and is kept
-    only for comparison.
+    1 simultaneously.  Each mode's cross-index recurrence scales the
+    previous lower depth, so both height sequences decrease strictly, as
+    :class:`SequencePlan` requires of every backward plan.
     """
     if not first_height > 0.0:
         raise PlanError(f"first height must be positive, got {first_height}")
@@ -318,15 +304,12 @@ def plan_backward_special(
             raise PlanError(
                 f"m too small: need 1 + m > (1 - limsup)/limsup = {bound}, got m = {m}"
             )
-        if verbatim:
-            next_r = lambda n, rhon: (1.0 - hi) / hi
-        else:
-            next_r = lambda n, rhon: (1.0 - hi) / hi * rhon
-        r, rho = _sequences(first_height, count, lambda n, rn: rn / (n + m), next_r)
+        r, rho = _sequences(
+            first_height, count, lambda n, rn: rn / (n + m),
+            lambda n, rhon: (1.0 - hi) / hi * rhon,
+        )
         return SequencePlan(
-            BACKWARD, hi, 0.0, r, rho, n_pairs,
-            special="liminf_zero", special_m=m, verbatim_special=verbatim,
-            verbatim_tooth_sign=verbatim_tooth_sign,
+            BACKWARD, hi, 0.0, r, rho, n_pairs, special="liminf_zero", special_m=m
         )
     if mode == "limsup_one":
         if target_liminf is None or not 0.0 < target_liminf < 1.0:
@@ -337,26 +320,18 @@ def plan_backward_special(
             raise PlanError(
                 f"m too small: need 2 + m > liminf/(1 - liminf) = {bound}, got m = {m}"
             )
-        if verbatim:
-            next_r = lambda n, rhon: 1.0 / (n + 1 + m)
-        else:
-            next_r = lambda n, rhon: rhon / (n + 1 + m)
         r, rho = _sequences(
-            first_height, count, lambda n, rn: lo / (1.0 - lo) * rn, next_r
+            first_height, count, lambda n, rn: lo / (1.0 - lo) * rn,
+            lambda n, rhon: rhon / (n + 1 + m),
         )
         return SequencePlan(
-            BACKWARD, 1.0, lo, r, rho, n_pairs,
-            special="limsup_one", special_m=m, verbatim_special=verbatim,
-            verbatim_tooth_sign=verbatim_tooth_sign,
+            BACKWARD, 1.0, lo, r, rho, n_pairs, special="limsup_one", special_m=m
         )
     if mode == "full_interval":
         r, rho = _sequences(
             first_height, count, lambda n, rn: rn / n, lambda n, rhon: rhon / (n + 1)
         )
-        return SequencePlan(
-            BACKWARD, 1.0, 0.0, r, rho, n_pairs,
-            special="full_interval", verbatim_tooth_sign=verbatim_tooth_sign,
-        )
+        return SequencePlan(BACKWARD, 1.0, 0.0, r, rho, n_pairs, special="full_interval")
     raise PlanError(f"unknown special mode {mode!r}")
 
 
@@ -513,44 +488,6 @@ def anchor_target(plan: SequencePlan, n: int) -> float:
     return down / (up + down)
 
 
-def witness_rect(plan: SequencePlan, n: int) -> RectWitness:
-    """The rectangle witnessing a local strip around anchor ``n``.
-
-    Its horizontal border lies on comb teeth and its interior avoids all
-    teeth; both facts are checked arithmetically against the plan and a
-    violation raises :class:`BuildError`.  Valid for ``n`` in
-    ``usable_anchor_indices``.
-    """
-    usable = usable_anchor_indices(plan)
-    if n not in usable:
-        raise PlanError(f"anchor index {n} not usable for this plan (usable: {usable})")
-    up, down = _witness_dims(plan, n)
-    x = midpoints(plan)[n - 1]
-    rect = RectWitness(complex(x, 0.0), up, down, plan.block_widths[n - 1])
-    _verify_witness(plan, rect)
-    return rect
-
-
-def _verify_witness(plan: SequencePlan, rect: RectWitness) -> None:
-    u = plan.cum_widths
-    sign = 1.0 if plan.direction == FORWARD else -1.0
-    tol = 1e-12 * max(rect.up, rect.down, abs(rect.center.real), 1.0)
-    top_ok = bottom_ok = False
-    for j in range(1, len(u) + 1):
-        height = plan.tooth_height(j)
-        anchor_x = sign * u[j - 1]
-        covers = anchor_x >= rect.x_hi - tol
-        reaches = anchor_x > rect.x_lo + tol
-        if covers and abs(height - rect.y_hi) <= tol:
-            top_ok = True
-        if covers and abs(height - rect.y_lo) <= tol:
-            bottom_ok = True
-        if reaches and rect.y_lo + tol < height < rect.y_hi - tol:
-            raise BuildError(f"tooth {j} intrudes into witness rectangle at x = {rect.center.real}")
-    if not (top_ok and bottom_ok):
-        raise BuildError(f"witness rectangle at x = {rect.center.real} has an unbacked border")
-
-
 def surgery(domain: CombDomain, kind: str, k: int) -> SurgeryVariant:
     """Build the sealed (smaller) or tooth-dropped (larger) comparison domain.
 
@@ -594,8 +531,6 @@ def plan_to_dict(plan: SequencePlan) -> dict:
         "lower_depths": list(plan.lower_depths),
         "special": plan.special,
         "special_m": plan.special_m,
-        "verbatim_special": plan.verbatim_special,
-        "verbatim_tooth_sign": plan.verbatim_tooth_sign,
         "block_widths": None if plan.block_widths is None else list(plan.block_widths),
         "widths_mode": plan.widths_mode,
     }
@@ -606,24 +541,38 @@ def plan_to_dict(plan: SequencePlan) -> dict:
 
 
 def plan_from_dict(d: dict) -> SequencePlan:
-    """Rebuild a plan from its JSON form; every invariant is re-checked."""
+    """Rebuild a plan from its JSON form; every invariant is re-checked.
+
+    A malformed document raises :class:`PlanError`.  So does a file that
+    sets ``verbatim_special`` or ``verbatim_tooth_sign``: those keys selected
+    a literal reading of the construction that is no longer built.  Files
+    that hold them as ``false`` still load.
+    """
+    if not isinstance(d, dict):
+        raise PlanError(f"a plan must be a JSON object, got {type(d).__name__}")
     if d.get("schema") != PLAN_SCHEMA:
         raise PlanError(f"unsupported plan schema {d.get('schema')!r}")
+    for key in ("verbatim_special", "verbatim_tooth_sign"):
+        if d.get(key):
+            raise PlanError(f"{key} is set: the literal reading of the construction is retired")
     widths = d.get("block_widths")
-    return SequencePlan(
-        direction=d["direction"],
-        target_limsup=float(d["target_limsup"]),
-        target_liminf=float(d["target_liminf"]),
-        upper_heights=tuple(float(v) for v in d["upper_heights"]),
-        lower_depths=tuple(float(v) for v in d["lower_depths"]),
-        n_pairs=int(d["n_pairs"]),
-        special=d.get("special"),
-        special_m=d.get("special_m"),
-        verbatim_special=bool(d.get("verbatim_special", False)),
-        verbatim_tooth_sign=bool(d.get("verbatim_tooth_sign", False)),
-        block_widths=None if widths is None else tuple(float(w) for w in widths),
-        widths_mode=d.get("widths_mode"),
-    )
+    try:
+        return SequencePlan(
+            direction=d["direction"],
+            target_limsup=float(d["target_limsup"]),
+            target_liminf=float(d["target_liminf"]),
+            upper_heights=tuple(float(v) for v in d["upper_heights"]),
+            lower_depths=tuple(float(v) for v in d["lower_depths"]),
+            n_pairs=int(d["n_pairs"]),
+            special=d.get("special"),
+            special_m=d.get("special_m"),
+            block_widths=None if widths is None else tuple(float(w) for w in widths),
+            widths_mode=d.get("widths_mode"),
+        )
+    except KeyError as exc:
+        raise PlanError(f"plan lacks the key {exc.args[0]!r}") from None
+    except TypeError as exc:
+        raise PlanError(f"plan holds a value of the wrong type: {exc}") from None
 
 
 def domain_to_dict(domain: CombDomain) -> dict:

@@ -311,6 +311,8 @@ def strip_problem(
         raise DomainError("strip distances must be positive")
     if rows < 3:
         raise GridError(f"strip grid needs rows >= 3, got {rows}")
+    if not math.isfinite(aspect):
+        raise GridError(f"strip aspect must be finite, got {aspect}")
     height = dist_up + dist_down
     h = height / (rows - 1)
     if cols is None:
@@ -361,8 +363,12 @@ def rectangle_problem(
     origin: complex = 0j,
 ) -> GridProblem:
     """Rectangle with one side labeled one; corners go to the top/bottom rows."""
-    if not (width > 0.0 and height > 0.0):
-        raise GridError(f"rectangle needs positive width and height, got {width}, {height}")
+    if not (0.0 < width < math.inf and 0.0 < height < math.inf):
+        raise GridError(
+            f"rectangle needs positive finite width and height, got {width}, {height}"
+        )
+    if one_side not in ("left", "right", "bottom", "top"):
+        raise GridError(f"unknown side {one_side!r}")
     if rows < 3:
         raise GridError(f"rectangle grid needs rows >= 3, got {rows}")
     h = height / (rows - 1)

@@ -1,8 +1,8 @@
 """Exact plane and unit-disk geometry kernel.
 
-Leftward half-line "teeth", rectangle witnesses, oriented boundary arcs of
-the unit circle, harmonic-measure level arcs, and the slope angle of a disk
-point relative to a boundary point.  :class:`FeatureArrays` is the one
+Leftward half-line "teeth", oriented boundary arcs of the unit circle,
+disk automorphisms, harmonic-measure level arcs, and the slope angle of a
+disk point relative to a boundary point.  :class:`FeatureArrays` is the one
 distance kernel: the comb's boundary distance and the walk-on-spheres
 estimator both measure through it.  All operations are pure functions and
 no object is modified after construction, so everything here is safe to
@@ -45,7 +45,6 @@ __all__ = [
     "FeatureArrays",
     "HalfLine",
     "LevelArc",
-    "RectWitness",
     "TangentRay",
     "level_set_arc",
     "mobius_to_zero",
@@ -294,50 +293,6 @@ class FeatureArrays:
 
 
 @dataclass(frozen=True)
-class RectWitness:
-    """Open axis-aligned rectangle used to witness a local strip.
-
-    The point set is ``{x + iy : |x - Re center| < width/2,
-    Im center - down < y < Im center + up}``.
-    """
-
-    center: complex
-    up: float
-    down: float
-    width: float
-
-    def __post_init__(self) -> None:
-        require_finite(self.center)
-        if not (self.up > 0.0 and self.down > 0.0 and self.width > 0.0):
-            raise DomainError(
-                f"rectangle needs positive up/down/width, got {self.up}, {self.down}, {self.width}"
-            )
-
-    @property
-    def x_lo(self) -> float:
-        return self.center.real - self.width / 2.0
-
-    @property
-    def x_hi(self) -> float:
-        return self.center.real + self.width / 2.0
-
-    @property
-    def y_lo(self) -> float:
-        return self.center.imag - self.down
-
-    @property
-    def y_hi(self) -> float:
-        return self.center.imag + self.up
-
-    def contains(self, p: complex) -> bool:
-        """Strict membership in the open rectangle."""
-        return (
-            abs(p.real - self.center.real) < self.width / 2.0
-            and self.y_lo < p.imag < self.y_hi
-        )
-
-
-@dataclass(frozen=True)
 class BoundaryArc:
     """Arc of the unit circle traversed clockwise from ``start`` to ``end``.
 
@@ -398,9 +353,6 @@ class DiskMobius:
 
     def __call__(self, z: complex) -> complex:
         return (z - self.a) / (1.0 - self.a.conjugate() * z)
-
-    def inverse(self) -> "DiskMobius":
-        return DiskMobius(-self.a)
 
     def apply_arc(self, arc: BoundaryArc) -> BoundaryArc:
         """Image arc; disk automorphisms preserve the circle and its orientation."""

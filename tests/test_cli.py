@@ -223,6 +223,22 @@ class TestVerifyCommand:
     def test_missing_plan_exits_3(self, tmp_path):
         assert main(["verify", "--plan", str(tmp_path / "nope.json")]) == 3
 
+    @pytest.mark.parametrize("command, doc, message", [
+        (["verify"], {"schema": "combslope/plan-v1"}, "lacks the key 'direction'"),
+        (["measure", "--at", "1"], [], "must be a JSON object, got list"),
+        (["measure", "--at", "1"], {"schema": "combslope/plan-v1", "direction": "forward",
+                                    "target_limsup": 0.5, "target_liminf": 0.5, "n_pairs": 1,
+                                    "upper_heights": 1.0, "lower_depths": [1.0, 1.0]},
+         "wrong type"),
+    ], ids=["missing_key", "array", "wrong_type"])
+    def test_malformed_plan_exits_2(self, command, doc, message, tmp_path, capsys):
+        # a usage error, not a failed check: exit 2 and one error line
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps(doc))
+        assert main([*command, "--plan", str(plan)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+
     @pytest.mark.parametrize("mode, r1, widths", [
         ("--forward", "6", "200,1100,2600,7000"),
         ("--backward", "0.3333", "8,9,10,11,12"),

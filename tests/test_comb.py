@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from combslope.comb import (
     DROP_TOOTH,
     SEAL_GAP,
+    _witness_dims,
     anchor_target,
     assign_widths,
     boundary_distance,
@@ -27,7 +28,6 @@ from combslope.comb import (
     pseudo_strip,
     surgery,
     usable_anchor_indices,
-    witness_rect,
 )
 from combslope.errors import BuildError, DomainError, PlanError
 from combslope.exact import pseudo_strip_upper_measure
@@ -142,13 +142,6 @@ class TestSpecialPlans:
         with pytest.raises(PlanError, match="liminf"):
             plan_backward_special("limsup_one", 1.0, 3, target_liminf=0.9, m=3)
 
-    def test_verbatim_reading_kept_behind_flag(self):
-        plan = plan_backward_special(
-            "liminf_zero", 1.0, 3, target_limsup=0.75, m=3, verbatim=True
-        )
-        # the literal reading pins r_n to a constant for n >= 2
-        assert plan.upper_heights[1] == plan.upper_heights[2] == pytest.approx(1 / 3)
-
     def test_unknown_mode(self):
         with pytest.raises(PlanError):
             plan_backward_special("nonsense", 1.0, 3)
@@ -215,58 +208,74 @@ class TestBuildComb:
         assert all(t.ray.anchor.real < 0 for t in domain.teeth)
         assert domain.teeth[1].ray.anchor.imag < 0  # mirrored lower family
 
-    def test_backward_verbatim_sign_flag(self):
-        plan = assign_widths(
-            plan_backward(-0.4, 0.3, 1.0, 2, verbatim_tooth_sign=True), [1, 2, 3, 4]
-        )
-        domain = build_comb(plan)
-        assert all(t.ray.anchor.imag > 0 for t in domain.teeth)
-        assert all(t.label == "upper" for t in domain.teeth)
+
+def _box_faults(plan, n: int) -> list[str]:
+    """Why the box of anchor ``n`` fails to witness a local strip: the
+    block's width across, ``_witness_dims`` above and below the axis.
+    Empty when no tooth of ``build_comb(plan)`` enters the open box and
+    both horizontal borders lie on teeth."""
+    up, down = _witness_dims(plan, n)
+    x, w = midpoints(plan)[n - 1], plan.block_widths[n - 1]
+    x_lo = x - w / 2
+    domain = build_comb(plan)
+    tol = 1e-12 * max(up, down, abs(x_lo), abs(x_lo + w))
+    # a leftward tooth enters the open box iff its tip passes the left
+    # side at a height strictly between the borders
+    faults = [
+        f"tooth {j} enters the box"
+        for j, t in enumerate(domain.teeth, 1)
+        if t.ray.anchor.real > x_lo + tol and -down < t.ray.anchor.imag < up
+    ]
+    for y in (up, -down):
+        for frac in (0.01, 0.5, 0.99):
+            if boundary_distance(domain, complex(x_lo + frac * w, y))[0] > tol:
+                faults.append(f"border y = {y} leaves the teeth at {frac} of the width")
+    return faults
+
+
+WITNESS_PLANS = {
+    "forward": plan_forward(-math.pi / 4, math.pi / 6, 6.0, 4),
+    "forward_wide": plan_forward(-1.4, 1.5, 0.5, 3),
+    "backward": plan_backward(-math.pi / 4, math.pi / 6, 1 / 3, 3),
+    "backward_singleton": plan_backward(0.3, 0.3, 2.0, 3),
+    "liminf_zero": plan_backward_special("liminf_zero", 1.0, 5, target_limsup=0.75, m=3),
+    "limsup_one": plan_backward_special("limsup_one", 1.0, 5, target_liminf=1 / 3, m=5),
+    "full_interval": plan_backward_special("full_interval", 1.0, 6),
+    "pseudo_strip": plan_pseudo_strip(1.0, 3.0, 3),
+}
 
 
 class TestWitnessRect:
     def test_first_block_dims(self, six_plan_widths):
-        rect = witness_rect(six_plan_widths, 1)
-        assert (rect.up, rect.down, rect.width) == (6.0, 18.0, 10.0)
-        assert rect.center == 5 + 0j
+        assert _witness_dims(six_plan_widths, 1) == (6.0, 18.0)
+        assert (midpoints(six_plan_widths)[0], six_plan_widths.block_widths[0]) == (5.0, 10.0)
 
     def test_second_block_dims(self, six_plan_widths):
-        rect = witness_rect(six_plan_widths, 2)
-        assert rect.up == pytest.approx(36.0, rel=1e-12)
-        assert rect.down == 18.0
-        assert rect.width == 20.0
+        up, down = _witness_dims(six_plan_widths, 2)
+        assert up == pytest.approx(36.0, rel=1e-12)
+        assert down == 18.0
+        assert six_plan_widths.block_widths[1] == 20.0
 
-    def test_rect_avoids_teeth_and_borders_lie_on_them(self, six_plan_widths):
-        domain = build_comb(six_plan_widths)
-        rng = np.random.default_rng(3)
-        for n in usable_anchor_indices(six_plan_widths):
-            rect = witness_rect(six_plan_widths, n)
-            for _ in range(200):
-                p = complex(
-                    rng.uniform(rect.x_lo, rect.x_hi), rng.uniform(rect.y_lo, rect.y_hi)
-                )
-                if rect.contains(p):
-                    assert domain.contains(p)
-            # the open top and bottom borders
-            for y in (rect.y_hi, rect.y_lo):
-                for frac in (0.01, 0.5, 0.99):
-                    x = rect.x_lo + frac * rect.width
-                    d, _ = boundary_distance(domain, complex(x, y))
-                    assert d == pytest.approx(0.0, abs=1e-9)
+    def test_rect_avoids_teeth_and_borders_lie_on_them(self):
+        # every usable anchor of every plan kind, at full length and one
+        # block short: the recurrences and monotonicity that SequencePlan
+        # checks leave no tooth inside the box and a tooth under each border
+        for kind, plan in WITNESS_PLANS.items():
+            for count in (plan.max_blocks, plan.max_blocks - 1):
+                widths = assign_widths(plan, [10.0 * (i + 1) for i in range(count)])
+                for n in usable_anchor_indices(widths):
+                    assert _box_faults(widths, n) == [], (kind, count, n)
 
     def test_backward_shifted_indices(self):
         plan = assign_widths(plan_backward(-math.pi / 4, math.pi / 6, 1 / 3, 3), [1, 2, 3, 4, 5, 6])
         assert usable_anchor_indices(plan) == (3, 4, 5, 6)
-        rect = witness_rect(plan, 3)
         # the covering pair behind the midpoint is the first one
-        assert rect.up == plan.upper_heights[0]
-        assert rect.down == plan.lower_depths[0]
-        with pytest.raises(PlanError):
-            witness_rect(plan, 2)
+        assert _witness_dims(plan, 3) == (plan.upper_heights[0], plan.lower_depths[0])
+        assert _box_faults(plan, 2)  # no pair covers anchor 2
 
     def test_out_of_range(self, six_plan_widths):
-        with pytest.raises(PlanError):
-            witness_rect(six_plan_widths, 8)  # last even anchor has no ceiling
+        assert 8 not in usable_anchor_indices(six_plan_widths)
+        assert _box_faults(six_plan_widths, 8)  # last even anchor has no ceiling
 
 
 class TestAnchorTargets:
@@ -299,9 +308,9 @@ class TestBlockCap:
     def test_backward_last_block_is_usable(self):
         plan = assign_widths(plan_backward(-math.pi / 4, math.pi / 6, 1 / 3, 3), range(1, 8))
         assert usable_anchor_indices(plan) == (3, 4, 5, 6, 7)
-        rect = witness_rect(plan, 7)
         # witnessed by the last full pair; the extra tooth closes it on the left
-        assert (rect.up, rect.down) == (plan.upper_heights[2], plan.lower_depths[2])
+        assert _witness_dims(plan, 7) == (plan.upper_heights[2], plan.lower_depths[2])
+        assert _box_faults(plan, 7) == []
         last = build_comb(plan).teeth[-1]
         assert last.ray.anchor == complex(-28.0, plan.upper_heights[3])
         assert last.label == "upper"
@@ -313,7 +322,7 @@ class TestBlockCap:
         assert anchor_target(plan, 12) == pytest.approx(6 / 7, rel=1e-12)
         plan = assign_widths(plan, range(1, 14))
         assert usable_anchor_indices(plan)[-1] == 13
-        witness_rect(plan, 13)
+        assert _box_faults(plan, 13) == []
 
 
 def _piece_distance(p: complex, lo: float, hi: float, y: float) -> float:
@@ -488,7 +497,7 @@ class TestBoundaryDistance:
         # the kernel measures leftward half-lines only; other geometry is named
         domain = build_comb(six_plan_widths)
         feats = domain.features()
-        for other in (witness_rect(six_plan_widths, 1), 10 + 6j):
+        for other in (SimpleNamespace(anchor=10 + 6j), 10 + 6j):
             for odd in (((other, "upper"), *feats), (*feats, (other, "upper"))):
                 with pytest.raises(DomainError, match="half-lines"):
                     boundary_distance(SimpleNamespace(features=lambda: odd), 5 + 0j)
@@ -513,6 +522,24 @@ class TestSerialization:
     def test_plan_schema_checked(self):
         with pytest.raises(PlanError):
             plan_from_dict({"schema": "nope"})
+
+    def test_plan_file_with_the_retired_keys(self):
+        # a plan-v1 file written before the literal reading was retired
+        # holds both of its keys as false and loads to the same plan
+        doc = json.loads(
+            '{"schema": "combslope/plan-v1", "direction": "backward", "target_limsup": 1.0,'
+            ' "target_liminf": 0.0, "n_pairs": 2, "upper_heights": [1.0, 0.5, 0.08333333333333333],'
+            ' "lower_depths": [1.0, 0.25, 0.027777777777777776], "special": "full_interval",'
+            ' "special_m": null, "verbatim_special": false, "verbatim_tooth_sign": false,'
+            ' "block_widths": [1.0, 2.0, 3.0, 4.0, 5.0], "widths_mode": "explicit",'
+            ' "cum_widths": [1.0, 3.0, 6.0, 10.0, 15.0], "anchors": [-0.5, -2.0, -4.5, -8.0, -12.5]}'
+        )
+        plan = assign_widths(plan_backward_special("full_interval", 1.0, 2), [1, 2, 3, 4, 5])
+        assert plan_from_dict(doc) == plan
+        # a set key would describe a different comb than the one built
+        for key in ("verbatim_special", "verbatim_tooth_sign"):
+            with pytest.raises(PlanError, match=f"{key} is set"):
+                plan_from_dict({**doc, key: True})
 
     def test_domain_round_trip(self, six_plan_widths):
         domain = build_comb(six_plan_widths)

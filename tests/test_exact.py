@@ -286,13 +286,20 @@ class TestGridOracle:
             lambda: rectangle_problem(3.0, 1.7, 1, 0.5 + 0.5j),
             lambda: rectangle_problem(-3.0, 1.7, 31, 0.5 + 0.5j),
             lambda: rectangle_problem(3.0, 0.0, 31, 0.5 + 0.5j),
+            lambda: rectangle_problem(float("inf"), 1.7, 31, 0.5 + 0.5j),
+            lambda: rectangle_problem(3.0, 1.7, 31, 0.5 + 0.5j, one_side="Top"),
+            lambda: strip_problem(1.0, 3.0, rows=10, aspect=float("inf")),
+            lambda: strip_problem(1.0, 3.0, rows=10, aspect=float("nan")),
         ],
         ids=["strip_rows1", "strip_rows0", "strip_cols0", "rect_rows1", "rect_width_negative",
-             "rect_height_zero"],
+             "rect_height_zero", "rect_width_inf", "rect_side_unknown", "strip_aspect_inf",
+             "strip_aspect_nan"],
     )
     def test_degenerate_builders_fail_by_name(self, build):
         # fewer than 3 rows or columns, or an empty rectangle, leave no
-        # interior cell; the builders say so before dividing by the rows
+        # interior cell; the builders say so before dividing by the rows.
+        # An infinite size or a misspelled side fails by name too, rather
+        # than overflowing the column count or labeling every side zero
         with pytest.raises(GridError):
             build()
 

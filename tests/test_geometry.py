@@ -11,7 +11,6 @@ from combslope.geometry import (
     BoundaryArc,
     FeatureArrays,
     HalfLine,
-    RectWitness,
     level_set_arc,
     mobius_to_zero,
     require_finite,
@@ -320,18 +319,6 @@ class TestCandidateSets:
         assert (second == np.sqrt(np.sort(squares, axis=1)[:, 1])).all()
 
 
-class TestRectWitness:
-    def test_contains_is_strict(self):
-        r = RectWitness(0j, 1.0, 1.0, 2.0)
-        assert r.contains(0j)
-        assert not r.contains(1 + 0j)  # on the vertical border of the open set
-        assert not r.contains(1j)
-
-    def test_requires_positive_dims(self):
-        with pytest.raises(DomainError):
-            RectWitness(0j, 0.0, 1.0, 1.0)
-
-
 class TestSlopeOf:
     def test_examples(self):
         assert slope_of(1, 0) == 0.0
@@ -380,11 +367,6 @@ class TestMobius:
     def test_preserves_unit_circle(self, r, phi, theta):
         t = mobius_to_zero(r * cmath.exp(1j * phi))
         assert abs(abs(t(cmath.exp(1j * theta))) - 1.0) < 1e-12
-
-    def test_inverse_round_trip(self):
-        t = mobius_to_zero(0.3 - 0.2j)
-        z = -0.1 + 0.55j
-        assert t.inverse()(t(z)) == pytest.approx(z, abs=1e-15)
 
 
 class TestBoundaryArc:
