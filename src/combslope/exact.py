@@ -307,8 +307,9 @@ def strip_problem(
     labeled zero; with ``aspect`` >= 40 their influence at the center is
     below 1e-6 because harmonic measure decays exponentially along a strip.
     """
-    if not (dist_up > 0.0 and dist_down > 0.0):
-        raise DomainError("strip distances must be positive")
+    if not (0.0 < dist_up < math.inf and 0.0 < dist_down < math.inf):
+        raise DomainError(
+            f"strip distances must be positive and finite, got {dist_up}, {dist_down}")
     if rows < 3:
         raise GridError(f"strip grid needs rows >= 3, got {rows}")
     if not math.isfinite(aspect):

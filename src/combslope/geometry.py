@@ -91,8 +91,9 @@ class HalfLine:
 
 class _Candidates(NamedTuple):
     """A local candidate set (see :meth:`FeatureArrays.distances`): the
-    features ``C`` as ``(index, hx, hy)`` and the squared bounds of its two
-    tests, margin included."""
+    features as ``(index, hx, hy)``, ``hx`` ``None`` where the feature
+    covers the disk, and the squared bounds of its two tests, margin
+    included."""
 
     features: list
     disk_sq: np.ndarray
@@ -163,8 +164,43 @@ class FeatureArrays:
         if not limit >= _SCALE_FLOOR:
             return None
         disk = min(rho, _LIMIT_CAP) * (1.0 - _MARGIN)
-        subset = [f for f, keep in zip(self._features, near) if keep]
-        return _Candidates(subset, np.array(disk * disk), np.array(limit * limit))
+        limit_sq = limit * limit
+        keep = np.flatnonzero(near).tolist()
+        covers = self.x_hi >= rho
+        channel = self._channel(dist, rho, keep, covers)
+        if channel is not None:
+            keep, height = channel
+            limit_sq = min(limit_sq, height * height)
+        subset = [(i, None if covers[k] else hx, hy)
+                  for k, (i, hx, hy) in enumerate(self._features) if k in keep]
+        return _Candidates(subset, np.array(disk * disk), np.array(limit_sq))
+
+    def _channel(self, dist, rho, keep, covers):
+        """The nearest covering walls above and below the origin among the
+        candidates ``keep``, in index order, and the channel's height, where
+        those walls shadow every other candidate; else ``None``.  See
+        :meth:`distances`."""
+        wall = self.wall_y
+        above = [k for k in keep if covers[k] and wall[k] > 0.0]
+        below = [k for k in keep if covers[k] and wall[k] < 0.0]
+        if not (above and below):
+            return None
+        hi = min(above, key=lambda k: wall[k])
+        lo = max(below, key=lambda k: wall[k])
+        up, dn = float(wall[hi]), float(wall[lo])
+        height = up - dn
+        if not _SCALE_FLOOR <= height < math.inf:
+            return None
+        for k in keep:
+            if k in (hi, lo):
+                continue
+            # a lower bound on the distance from a point of the disk in the
+            # channel: past the wall on its side, or past the disk, where the
+            # margin on D_k outweighs its rounding however near rho it lies
+            shadow = max(wall[k] - up, dn - wall[k], dist[k] * (1.0 - _MARGIN) - rho)
+            if not shadow * (1.0 - _MARGIN) > height:
+                return None
+        return sorted((hi, lo)), height
 
     def hypot_distances(self) -> np.ndarray:
         """Each feature's distance from the origin of the stored frame, by
@@ -177,13 +213,17 @@ class FeatureArrays:
     def _square(x, y, hx, hy, dx, out):
         """The points' squared distances to the closed half-line at
         ``(hx, hy)``, ``(y - hy)**2 + max(x - hx, 0)**2``, 0 exactly on it,
-        into ``out``; ``dx`` is scratch."""
+        into ``out``; ``dx`` is scratch.  ``hx`` ``None`` marks a covering
+        feature (see :meth:`distances`): only ``(y - hy)**2`` is computed,
+        where ``max(x - hx, 0)`` is ``+0`` for the points that keep it."""
+        np.subtract(y, hy, out=out)
+        np.multiply(out, out, out=out)
+        if hx is None:
+            return
         # straight above or below the ray dx is 0, so the root is |dy|
         np.subtract(x, hx, out=dx)
         np.maximum(dx, _ZERO, out=dx)
         np.multiply(dx, dx, out=dx)
-        np.subtract(y, hy, out=out)
-        np.multiply(out, out, out=out)
         out += dx
 
     def _running_min(self, features, x, y, second, index):
@@ -238,9 +278,9 @@ class FeatureArrays:
         candidates only.  With ``D_k`` feature ``k``'s distance
         from the origin and ``D_1`` the smallest, ``rho`` is the largest
         power of two at most ``(D_5 - D_1) / 2`` in sorted order, the
-        candidates are ``C = {k : D_k <= D_1 + 2 rho}``, the four nearest
-        features (and those at ``D_5`` where ``D_1 + 2 rho`` reaches it),
-        and ``L = min over k not in C of D_k - rho``.
+        candidates are ``C = {k : D_k <= D_1 + 2 rho}``, at most the four
+        nearest features (and those at ``D_5`` where ``D_1 + 2 rho``
+        reaches it), and ``L = min over k not in C of D_k - rho``.
         A point within ``rho`` of the origin is at least ``L`` from every
         feature outside ``C``, so if its second minimum over ``C`` is
         below ``L`` its nearest distance, second minimum and index over
@@ -260,6 +300,36 @@ class FeatureArrays:
         only, so ``L`` and the disk's radius are capped at 1e150 (a
         smaller bound is still a bound), and no set is built when half the
         gap or ``L`` is below 1e-145.
+
+        A candidate whose tip ``hx >= rho`` covers the disk: a point that
+        passes the disk test has ``x < rho``, so ``max(x - hx, 0)`` is
+        ``+0`` and the square is ``(y - hy)**2`` bit for bit, which the
+        candidate path computes in two passes instead of six.
+
+        Channels: take the nearest covering candidates strictly above and
+        below the origin, at heights ``up`` and ``dn``, and the channel
+        height ``h = up - dn``, computed.  Candidate ``k`` is shadowed when
+        ``max(hy_k - up, dn - hy_k, D_k (1 - 1e-12) - rho) (1 - 1e-12)``
+        exceeds ``h``.  If every other candidate is, the set is the pair
+        only, and the limit test's bound is ``min(L (1 - 1e-12), h)``,
+        squared.  A second minimum over the pair below ``h**2`` puts the
+        point strictly between the walls, as computed: rounding is
+        monotone, so ``(y - dn)**2 < h**2`` gives ``y - dn < up - dn`` and
+        ``(y - up)**2 < h**2`` gives ``y - up > dn - up``.  Such a point,
+        within the disk, is less than ``h`` from both walls and more than
+        ``h (1 + 1e-12)`` from every shadowed candidate: past the wall on
+        that candidate's side (a half-line is no nearer than its line), or
+        past the disk.  So each shadowed square exceeds both of the pair's,
+        and the pair gives the nearest, second and index over ``C``; ``L``
+        covers the features outside ``C``.  The margin holds as above:
+        ``h`` and the gaps carry one rounding each and the squares a few
+        ``u``, against a relative gap of 1e-12; ``D_k - rho`` may cancel,
+        so ``D_k`` first gives up 1e-12 of itself, far more than its
+        rounding.  No channel is built where ``h`` is below 1e-145, so
+        that ``h**2`` and the shadowed squares stay normal.  A covering
+        wall through the origin (``hy = 0``, as a point on a tooth sees it)
+        lies on neither side and is shadowed by nothing, so it keeps the
+        set of the plain rule.
         """
         if self._local is None:
             near = self._running_min(self._features, x, y, second, index)
@@ -287,7 +357,7 @@ class FeatureArrays:
     def end_distance(self, x: np.ndarray, index: np.ndarray) -> np.ndarray:
         """Distance along the wall from abscissa ``x`` to the end of feature
         ``index``: positive where ``x`` lies strictly inside it."""
-        out = self.x_hi[index]
+        out = self.x_hi.take(index)
         out -= x
         return out
 

@@ -49,8 +49,11 @@ masked write.  An estimate is bit-identical for any pool size, and its
 memory is bounded by the pool, not by the walker count.  The kernel is
 built with the local candidate set around the start point: a walker near it
 is measured against the few nearest features only, and every other walker
-against all of them.  That set never changes a result (see
-``FeatureArrays.distances``).
+against all of them.  Where the start point lies in a channel, between a
+covering wall above and one below that shadow every other candidate (as at
+the anchors of the README comb), the set is those two walls, and a walker
+in the channel is measured against them alone.  That set never changes a
+result (see ``FeatureArrays.distances``).
 """
 
 from __future__ import annotations
@@ -330,7 +333,7 @@ def _walk(feats: _FeatureArrays, seed_mixed: int, params: WosParams):
         if exits.size:
             # absorbed on the nearest feature, whose label the kernel would
             # read at the foot point
-            upper_hits += int(np.count_nonzero(feats.is_upper[index.take(exits)]))
+            upper_hits += int(np.count_nonzero(feats.is_upper.take(index.take(exits))))
             absorbed += exits.size
             m = _drop((x, y, ids, step), m, exits)
         if not m:
@@ -341,7 +344,7 @@ def _walk(feats: _FeatureArrays, seed_mixed: int, params: WosParams):
         gone = np.flatnonzero(moved <= eps)
         del moved
         if gone.size:
-            upper_hits += int(np.count_nonzero(feats.is_upper[index.take(gone)]))
+            upper_hits += int(np.count_nonzero(feats.is_upper.take(index.take(gone))))
             absorbed += gone.size
             m = _drop((x, y, ids, step, near, second, index), m, gone)
     return upper_hits, absorbed, steps

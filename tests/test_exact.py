@@ -303,6 +303,13 @@ class TestGridOracle:
         with pytest.raises(GridError):
             build()
 
+    @pytest.mark.parametrize("dist_up, dist_down", [
+        (math.inf, 3.0), (1.0, math.inf), (math.nan, 3.0), (1.0, math.nan), (0.0, 3.0)])
+    def test_strip_distances_fail_by_name(self, dist_up, dist_down):
+        # an infinite distance would make the column count inf / inf
+        with pytest.raises(DomainError, match="positive and finite"):
+            strip_problem(dist_up, dist_down, rows=10)
+
     def test_two_by_two_interior_exact_value(self):
         labels = np.array(
             [

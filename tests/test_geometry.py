@@ -222,6 +222,38 @@ radii = st.one_of(st.sampled_from([0.0, 0.5, 1.0 - 2e-12, 1.0, 1.0 + 2e-12, 2.0]
                   st.floats(0.0, 4.0))
 
 
+@st.composite
+def channel_frames(draw):
+    """A channel around the origin in an unscaled frame: walls at ``up > 0``
+    and ``dn < 0``, shadow walls past them with gaps just below, at and just
+    above the channel height ``up - dn`` or well past it, perhaps a wall
+    between them with its tip far left and a wall through the origin, and
+    far walls that set the disk; tips at powers of two, which the disk's
+    radius ``rho`` is, or anywhere.  Returns the features in a random order
+    and ``(dn, up)``."""
+    up, dn = draw(st.floats(0.25, 8.0)), -draw(st.floats(0.25, 8.0))
+    height = up - dn
+    gaps = st.one_of(st.sampled_from([1.0 - 1e-9, 1.0 - 2e-12, 1.0, 1.0 + 2e-12, 1.0 + 1e-9]),
+                     st.floats(1.5, 20.0))
+    powers = st.sampled_from([2.0 ** k for k in range(-1, 13)])
+    tips = st.one_of(powers, st.floats(-4.0, 1e4))
+    # the pair's tips mostly cover the disk
+    long = st.one_of(st.sampled_from([2.0 ** k for k in range(12, 1, -1)]), st.floats(2048.0, 1e5))
+    walls = [complex(draw(long), up), complex(draw(long), dn)]
+    for _ in range(draw(st.integers(1, 2))):
+        gap = draw(gaps) * height
+        walls.append(complex(draw(tips), up + gap if draw(st.booleans()) else dn - gap))
+    if draw(st.integers(0, 3)) == 0:
+        walls.append(complex(-draw(st.floats(0.0, 600.0)), draw(st.floats(dn, up))))
+    if draw(st.integers(0, 3)) == 0:
+        walls.append(complex(draw(tips), 0.0))
+    far = draw(st.sampled_from([16.0, 64.0, 300.0])) * height
+    walls += [complex(draw(tips), far), complex(draw(tips), -far * 1.5)]
+    labels = st.sampled_from(["upper", "lower"])
+    feats = [(HalfLine(a), draw(labels)) for a in draw(st.permutations(walls))]
+    return feats, (dn, up)
+
+
 class TestCandidateSets:
     """The local candidate set never changes a result."""
 
@@ -317,6 +349,86 @@ class TestCandidateSets:
         assert index.max() > 255
         assert (near == np.sqrt(squares.min(axis=1))).all()
         assert (second == np.sqrt(np.sort(squares, axis=1)[:, 1])).all()
+
+    @settings(max_examples=300)
+    @given(st.data())
+    def test_channel_path_equals_the_full_kernel(self, data):
+        feats, (dn, up) = data.draw(channel_frames())
+        local = FeatureArrays(feats)._local
+        if local is not None:
+            # a wall through the origin with its tip right of it, as a point
+            # on a tooth sees that tooth, lies on neither side of a channel
+            # and is never shadowed: it stays a candidate
+            kept = {int(f[0]) for f in local.features}
+            assert all(k in kept for k, (geom, _) in enumerate(feats)
+                       if geom.anchor.imag == 0.0 and geom.anchor.real >= 0.0)
+        rho = math.sqrt(local.disk_sq) if local is not None else 1.0
+        heights = sorted({geom.anchor.imag for geom, _ in feats})
+        ys = [dn, up, math.nextafter(dn, -math.inf), math.nextafter(up, math.inf),
+              math.nextafter(dn, math.inf), math.nextafter(up, -math.inf), 0.0]
+        # across every wall: half-way to the next, and one ulp either side
+        ys += [(a + b) / 2.0 for a, b in zip(heights, heights[1:])]
+        ys += [math.nextafter(h, d) for h in heights for d in (-math.inf, math.inf)]
+        ys += [dn + s * (up - dn) for s in data.draw(st.lists(st.floats(0.0, 1.0), max_size=20))]
+        xs = [0.0, rho, -rho, math.nextafter(rho, math.inf)]
+        xs += [r * rho for r in data.draw(st.lists(st.floats(-1.2, 1.2), max_size=8))]
+        pts = [(v, w) for v in xs for w in ys]
+        pts += [(math.nan, 0.0), (0.0, math.nan), (math.nan, math.nan), (math.inf, math.nan),
+                (0.0, math.inf), (-math.inf, 0.0)]
+        x = np.array([p[0] for p in pts])
+        y = np.array([p[1] for p in pts])
+        _same_as_full(feats, x, y)
+
+    # a channel of height 4: walls at 1 and -3, shadows at 6 and -18, far
+    # walls at 100 and -150, every tip at 1024
+    CHANNEL = [(HalfLine(complex(1024.0, h)), "upper" if h > 0 else "lower")
+               for h in (6.0, 1.0, -3.0, -18.0, 100.0, -150.0)]
+
+    def test_channel_keeps_the_pair(self):
+        # D_k = 1, 3, 6, 18, 100: rho = 32, C = the first four, the pair
+        # 1 and -3 of height 4 shadows 6 (5 past 1) and -18 (15 past -3);
+        # the limit test's bound is the height, below L = 100 - 32
+        local = FeatureArrays(self.CHANNEL)._local
+        assert [int(f[0]) for f in local.features] == [1, 2]
+        assert all(f[1] is None for f in local.features)  # both cover the disk
+        assert local.limit_sq == 16.0
+        y = np.array([0.0, 0.999, -2.5, 1.0, -3.0, 1.5, -4.0, 5.0, math.nan])
+        x = np.array([0.0, 20.0, -31.0, 0.0, 3.0, 0.0, 0.0, 0.0, 0.0])
+        _, (near, second, index) = _same_as_full(self.CHANNEL, x, y)
+        assert index.tolist()[:5] == [1, 1, 2, 1, 2]
+        assert near.tolist()[:3] == [1.0, 1.0 - 0.999, 0.5]
+
+    @pytest.mark.parametrize("gap, channel", [
+        (4.0, False), (4.0 * (1.0 + 1e-13), False), (4.0 * (1.0 + 2e-12), True)])
+    def test_shadow_gap_needs_the_margin(self, gap, channel):
+        # the upper shadow wall lies past the pair's upper wall by gap
+        feats = [(HalfLine(complex(1024.0, 1.0 + gap)), "upper")] + self.CHANNEL[1:]
+        local = FeatureArrays(feats)._local
+        assert (len(local.features) == 2) == channel
+        y = np.array([0.0, 0.999999, -2.999999, 1.0, 0.5 + gap / 2.0])
+        _same_as_full(feats, np.zeros(5), y)
+
+    def test_wall_through_the_origin_keeps_todays_set(self):
+        # a point on a tooth sees that tooth at hy = 0: no channel, and the
+        # candidate set is the four nearest features of the plain rule
+        feats = self.CHANNEL + [(HalfLine(complex(1024.0, 0.0)), "upper")]
+        local = FeatureArrays(feats)._local
+        assert [int(f[0]) for f in local.features] == [0, 1, 2, 6]
+        y = np.array([0.0, 0.5, -0.5, 1.0, -3.0, 2.0])
+        _same_as_full(feats, np.zeros(6), y)
+
+    def test_shadow_by_the_disk(self):
+        # a wall between the pair's heights whose tip lies far left of the
+        # disk is shadowed by its distance from the disk instead; nearer
+        # than the channel height past the disk, it keeps today's set
+        # D_k = 1, 3, 18, about 40 or 35, 100: rho = 32, C = the first four
+        for tip, channel in ((-40.0, True), (-35.0, False)):
+            feats = [f for f in self.CHANNEL if f[0].anchor.imag != 6.0]
+            feats.append((HalfLine(complex(tip, 0.5)), "upper"))
+            local = FeatureArrays(feats)._local
+            assert len(local.features) == (2 if channel else 4)
+            x, y = np.array([0.0, -32.0, 31.9]), np.array([0.5, 0.5, -2.9])
+            _same_as_full(feats, x, y)
 
 
 class TestSlopeOf:

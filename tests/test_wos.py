@@ -7,12 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from combslope.analyzer import plan_jobs
 from combslope.comb import (
     DROP_TOOTH,
     SEAL_GAP,
     CombDomain,
     Tooth,
     assign_widths,
+    boundary_distance,
     build_comb,
     plan_backward,
     plan_forward,
@@ -680,6 +682,29 @@ class TestCandidateSets:
         full = [dataclasses.replace(estimate_upper_measure(dom, complex(t), p), elapsed=0.0)
                 for dom, t in runs]
         assert local == full
+
+    # the benchmark's forward plan with its calibrated widths, the same on
+    # seeds 7 and 42
+    CALIBRATED = [
+        431.99999999999994, 1151.9999999999998, 2591.999999999999, 6911.999999999997,
+        15551.999999999993, 41471.99999999998, 93311.99999999994, 248831.99999999985,
+    ]
+
+    def test_anchors_measure_in_a_channel(self, readme_comb):
+        # in the walkers' frame at each anchor the candidate set is the
+        # channel's two covering walls, one on each side, with the channel's
+        # height as the limit bound, so the anchors' walkers take the short path
+        plan = assign_widths(plan_forward(-math.pi / 4, math.pi / 6, 6.0, 4), self.CALIBRATED,
+                             mode="calibrated")
+        anchors = [(job.domain, job.t) for job in plan_jobs(plan, 42) if job.role == "anchor"]
+        assert len(anchors) == 7
+        for dom, t in [(readme_comb, 2880.0)] + anchors:
+            d0, _ = boundary_distance(dom, complex(t))
+            local = wos._FeatureArrays(dom.features(), complex(t), d0)._local
+            assert len(local.features) == 2, t
+            (_, hx_dn, dn), (_, hx_up, up) = sorted(local.features, key=lambda f: float(f[2]))
+            assert hx_dn is None and hx_up is None and dn < 0.0 < up
+            assert local.limit_sq <= float(up - dn) ** 2
 
 
 class TestSurgeryOrdering:
